@@ -33,13 +33,13 @@ spec = SweepSpec(
     n=200_000,
     seed=7,
 )
-result = run_sweep(spec, workers=1)
+rows = run_sweep(spec, workers=1)
 
 names = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6", "fixed:0.8"]
 print("outage probability (n = {:,} per point)\n".format(spec.n))
 print(f"{'P_s dBm':>8} " + " ".join(f"{n:>12}" for n in names))
 by_value = {}
-for row in result.rows:
+for row in rows:
     by_value.setdefault(row.sweep_value, {})[row.policy] = row.estimate.p_out
 for value in spec.values:
     cells = [by_value[value][p] for p in policies]

@@ -35,10 +35,10 @@ print(f"{'h^2':>8} {'g^2':>8} | {'full cf':>10} {'full grid':>10} "
 for h_sq, g_sq in zip(h_sqs, g_sqs):
     full_cf = full_csi_rho(params, h_sq, g_sq)
     full_gr = oracle_grid_full(params, h_sq, g_sq, step=STEP)
-    par_cf = partial_csi_rho(params, h_sq, gamma_0)
+    par_cf = float(partial_csi_rho(params, h_sq, gamma_0))
     par_gr = oracle_grid_partial(params, h_sq, gamma_0, step=STEP)
     print(f"{h_sq:8.4f} {g_sq:8.4f} | {full_cf:10.6f} {full_gr:10.6f} "
-          f"| {par_cf.rho:10.6f} {par_gr.rho:10.6f}")
+          f"| {par_cf:10.6f} {par_gr:10.6f}")
 
 h_sq, g_sq = h_sqs[0], g_sqs[0]
 best = full_csi_rho(params, h_sq, g_sq)

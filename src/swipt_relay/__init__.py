@@ -1,7 +1,7 @@
 """Power-splitting SWIPT amplify-and-forward relay: link math, policies, simulation."""
 
 from .params import SystemParams, dbm_to_linear, linear_to_dbm, snr_threshold, validate
-from .channel import FadingParams, ChannelRealization, make_rng, substream, sample_channel
+from .channel import FadingParams, make_rng, substream
 from .link import (
     conditional_outage,
     f_of_rho,
@@ -17,7 +17,6 @@ from .policy import (
     Fixed,
     FullCSI,
     PartialCSI,
-    PolicyDecision,
     full_csi_rho,
     oracle_grid_full,
     oracle_grid_partial,
@@ -26,7 +25,6 @@ from .policy import (
 from .sim import (
     GainRow,
     OutageEstimate,
-    SweepResult,
     SweepSpec,
     gain_eta,
     gains_from_sweep,

@@ -19,12 +19,10 @@ import numpy as np
 
 __all__ = [
     "FadingParams",
-    "ChannelRealization",
     "make_rng",
     "substream",
     "sample_gains",
     "sample_channels",
-    "sample_channel",
 ]
 
 
@@ -38,12 +36,6 @@ class FadingParams:
             raise ValueError(f"lambda_h must be positive, got {self.lambda_h!r}")
         if not self.lambda_g > 0:
             raise ValueError(f"lambda_g must be positive, got {self.lambda_g!r}")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    h_sq: float  # |h|^2, dimensionless power gain
-    g_sq: float  # |g|^2, dimensionless power gain
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -72,8 +64,3 @@ def sample_channels(rng, fading: FadingParams, n: int):
     h_sq = sample_gains(rng, fading.lambda_h, n)
     g_sq = sample_gains(rng, fading.lambda_g, n)
     return h_sq, g_sq
-
-
-def sample_channel(rng, fading: FadingParams) -> ChannelRealization:
-    h_sq, g_sq = sample_channels(rng, fading, 1)
-    return ChannelRealization(h_sq=float(h_sq[0]), g_sq=float(g_sq[0]))

@@ -16,9 +16,9 @@ import sys
 import tempfile
 
 from .channel import FadingParams
-from .params import ConfigError, SystemParams, linear_to_dbm, validate
-from .policy import Fixed, parse_policy, policy_name
-from .sim import SweepSpec, gains_from_sweep, outage_point, run_sweep
+from .params import ConfigError, require_number, validate
+from .policy import parse_policy, policy_name
+from .sim import GAIN_POLICIES, SweepSpec, gains_from_sweep, outage_point, run_sweep
 from . import verify as verify_mod
 
 DEFAULT_SEED = 12345
@@ -39,26 +39,27 @@ def _fmt(x) -> str:
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _fading_from(cfg) -> FadingParams:
-    for key in ("lambda_h", "lambda_g"):
-        if key not in cfg:
-            raise ConfigError(f"missing {key}")
     try:
-        return FadingParams(lambda_h=float(cfg["lambda_h"]), lambda_g=float(cfg["lambda_g"]))
+        return FadingParams(lambda_h=require_number(cfg.get("lambda_h"), "lambda_h"),
+                            lambda_g=require_number(cfg.get("lambda_g"), "lambda_g"))
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
 def _policies_from(cfg):
     names = cfg.get("policies")
-    if not names:
+    if not isinstance(names, list) or not names:
         raise ConfigError('missing "policies" list')
     try:
         return tuple(parse_policy(str(n)) for n in names)
@@ -66,23 +67,27 @@ def _policies_from(cfg):
         raise ConfigError(str(e)) from e
 
 
-def _int_from(cfg, args, key, default=None):
+def _int_from(cfg, args, key, minimum, default=None):
+    """A flag, else a config value, else the default: an integer >= minimum.
+    JSON writes 1e6 as a float, so integral floats count; bools do not."""
     v = getattr(args, key, None)
     if v is None:
         v = cfg.get(key, default)
     if v is None:
         raise ConfigError(f"missing {key}")
-    try:
+    if isinstance(v, float) and v.is_integer():
         v = int(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {v!r}") from None
+    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {v!r}")
     return v
 
 
-def _out_path(cfg, args):
-    out = args.out or cfg.get("out")
-    if not out:
-        raise ConfigError('missing output path (use --out or "out" in the config)')
+def _out_path(out):
+    if not isinstance(out, str) or not out:
+        raise ConfigError(f"output path must be a non-empty string, got {out!r}")
+    directory = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory} does not exist")
     return out
 
 
@@ -123,60 +128,76 @@ def _estimate_row(sweep_var, sweep_value, pol, est, seed):
     )
 
 
-def cmd_point(args) -> int:
-    cfg = _load_config(args.config)
-    params = validate(cfg)
-    fading = _fading_from(cfg)
-    policies = _policies_from(cfg)
-    n = _int_from(cfg, args, "n")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    seed = _int_from(cfg, args, "seed", DEFAULT_SEED)
-    out = _out_path(cfg, args)
-    estimates = outage_point(
-        params, fading, policies, params.gamma_0, n, seed, workers=args.workers
-    )
-    p_s_dbm = linear_to_dbm(params.p_s)
-    rows = [
-        _estimate_row("p_s_dbm", p_s_dbm, pol, est, seed)
-        for pol, est in zip(policies, estimates)
-    ]
-    _write_csv(out, _provenance(cfg, seed, n), SWEEP_HEADER, rows)
-    for row in rows:
-        print(f"{row[2]}: p_out={row[3]} (std_err={row[4]})")
-    print(f"wrote {out}")
-    return EXIT_OK
-
-
 def _sweep_spec(cfg, args):
-    sweep = cfg.get("sweep")
+    """The SweepSpec of a config; `point` runs the one-value p_s_dbm sweep
+    at the config's own power, so it shares every check."""
+    if args.command == "point":
+        sweep = {"variable": "p_s_dbm", "values": [require_number(cfg.get("p_s_dbm"), "p_s_dbm")]}
+    else:
+        sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError('missing "sweep" section with "variable" and "values"')
     variable = sweep.get("variable")
     values = sweep.get("values")
     if not variable:
         raise ConfigError('missing sweep "variable"')
-    if not values:
-        raise ConfigError('missing or empty sweep "values"')
-    n = _int_from(cfg, args, "n")
-    seed = _int_from(cfg, args, "seed", DEFAULT_SEED)
+    if not isinstance(values, list) or not values:
+        raise ConfigError('missing or empty sweep "values" list')
     try:
         return SweepSpec(
             variable=str(variable),
-            values=tuple(float(v) for v in values),
+            values=tuple(require_number(v, "a sweep value") for v in values),
             params=validate(cfg),
             fading=_fading_from(cfg),
             policies=_policies_from(cfg),
-            n=n,
-            seed=seed,
+            n=_int_from(cfg, args, "n", 1),
+            seed=_int_from(cfg, args, "seed", 0, DEFAULT_SEED),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
-def _gain_rows(result):
+def _parse(args):
+    """Check the whole config before any compute starts; every mistake is a
+    ConfigError. Returns (cfg, spec, out, gains_out), where out is the
+    estimates table and gains_out the gains table; either may be None."""
+    cfg = _load_config(args.config)
+    spec = _sweep_spec(cfg, args)
+    out = _out_path(args.out or cfg.get("out"))
+    gains_out = None
+    if args.command == "gains":
+        out, gains_out = None, out
+    elif args.command == "sweep" and cfg.get("gains_out") is not None:
+        gains_out = _out_path(cfg["gains_out"])
+    if gains_out is not None:
+        names = {policy_name(p) for p in spec.policies}
+        missing = [p for p in GAIN_POLICIES if p not in names]
+        if missing:
+            raise ConfigError(f"the gains table needs the policies {missing}")
+    return cfg, spec, out, gains_out
+
+
+def cmd_point(args) -> int:
+    cfg, spec, out, _ = _parse(args)
+    params = spec.params
+    estimates = outage_point(
+        params, spec.fading, spec.policies, params.gamma_0, spec.n, spec.seed,
+        workers=args.workers,
+    )
+    rows = [
+        _estimate_row(spec.variable, spec.values[0], pol, est, spec.seed)
+        for pol, est in zip(spec.policies, estimates)
+    ]
+    _write_csv(out, _provenance(cfg, spec.seed, spec.n), SWEEP_HEADER, rows)
+    for row in rows:
+        print(f"{row[2]}: p_out={row[3]} (std_err={row[4]})")
+    print(f"wrote {out}")
+    return EXIT_OK
+
+
+def _gain_rows(sweep_rows):
     rows = []
-    for g in gains_from_sweep(result):
+    for g in gains_from_sweep(sweep_rows):
         rows.append((
             _fmt(g.sweep_value),
             _fmt(g.eta_full), _fmt(g.eta_par), _fmt(g.eta_06), _fmt(g.eta_08),
@@ -185,31 +206,19 @@ def _gain_rows(result):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _sweep_spec(cfg, args)
-    out = _out_path(cfg, args)
-    result = run_sweep(spec, workers=args.workers)
-    rows = [
-        _estimate_row(spec.variable, r.sweep_value, r.policy, r.estimate, spec.seed)
-        for r in result.rows
-    ]
-    _write_csv(out, _provenance(cfg, spec.seed, spec.n), SWEEP_HEADER, rows)
-    print(f"wrote {out} ({len(rows)} rows)")
-    gains_out = cfg.get("gains_out")
-    if gains_out and any(p == Fixed(0.4) for p in spec.policies):
-        _write_csv(gains_out, _provenance(cfg, spec.seed, spec.n),
-                   GAINS_HEADER, _gain_rows(result))
+    """`sweep` and `gains`: run the sweep, then write the tables _parse named."""
+    cfg, spec, out, gains_out = _parse(args)
+    rows = run_sweep(spec, workers=args.workers)
+    provenance = _provenance(cfg, spec.seed, spec.n)
+    if out is not None:
+        _write_csv(out, provenance, SWEEP_HEADER, [
+            _estimate_row(spec.variable, r.sweep_value, r.policy, r.estimate, spec.seed)
+            for r in rows
+        ])
+        print(f"wrote {out} ({len(rows)} rows)")
+    if gains_out is not None:
+        _write_csv(gains_out, provenance, GAINS_HEADER, _gain_rows(rows))
         print(f"wrote {gains_out}")
-    return EXIT_OK
-
-
-def cmd_gains(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _sweep_spec(cfg, args)
-    out = _out_path(cfg, args)
-    result = run_sweep(spec, workers=args.workers)
-    _write_csv(out, _provenance(cfg, spec.seed, spec.n), GAINS_HEADER, _gain_rows(result))
-    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -251,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gains = sub.add_parser("gains", help="log-ratio gains vs the fixed 0.4 baseline")
     common(p_gains)
-    p_gains.set_defaults(func=cmd_gains)
+    p_gains.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run closed-form vs oracle batteries")
     p_verify.add_argument("--quick", action="store_true",

@@ -5,6 +5,12 @@ energy harvester and powers the relay's own transmission, the remaining
 1 - rho feeds the information path. Everything here is a pure function of
 (params, channel gains, rho); all functions broadcast over numpy arrays.
 
+The conversion efficiency eps scales the relay's transmit power, which
+carries the signal and the relay noise alike, so in the SNR it only divides
+sigma_d^2. It appears literally only in harvested_power; every other function
+uses the effective destination noise params.sigma_d_eff = sigma_d^2/eps, and
+snr_via_beta, which goes through harvested_power, checks that fold.
+
 Two algebraically equivalent SNR forms are kept on purpose. snr() is the
 polynomial-denominator form, finite on all of [0, 1]; snr_via_beta() goes
 literally through the AF normalization factor beta and the relay transmit
@@ -22,7 +28,6 @@ __all__ = [
     "FullCsiCoefficients",
     "PartialCsiCoefficients",
     "harvested_power",
-    "harvested_energy",
     "snr",
     "snr_via_beta",
     "f_of_rho",
@@ -69,18 +74,12 @@ def harvested_power(params, h_sq, rho):
     return params.epsilon * rho * (params.p_s * h_sq + params.sigma_r_sq)
 
 
-def harvested_energy(params, h_sq, rho):
-    """Energy harvested in one block: P_r * T/2 (bookkeeping helper)."""
-    return harvested_power(params, h_sq, rho) * params.block_duration / 2.0
-
-
 def snr(params, h_sq, g_sq, rho):
     """End-to-end SNR gamma(rho), finite on all of rho in [0, 1].
 
-    Denominator (all terms mW):
-        g^2*sr^2*rho*(1-rho) + g^2*sp^2*rho + sd^2*((1-rho) + sp^2/(P_s h^2 + sr^2))/eps
+    Denominator (all terms mW), with sd^2 the effective noise sigma_d^2/eps:
+        g^2*sr^2*rho*(1-rho) + g^2*sp^2*rho + sd^2*((1-rho) + sp^2/(P_s h^2 + sr^2))
     which is strictly positive on [0, 1], so gamma(0) = gamma(1) = 0 exactly.
-    With eps = 1 this is the standard polynomial form of the AF SNR.
     """
     rho = np.asarray(rho, dtype=float)
     ps_h = params.p_s * h_sq + params.sigma_r_sq
@@ -88,7 +87,7 @@ def snr(params, h_sq, g_sq, rho):
     den = (
         g_sq * params.sigma_r_sq * rho * (1.0 - rho)
         + g_sq * params.sigma_p_sq * rho
-        + params.sigma_d_sq * ((1.0 - rho) + params.sigma_p_sq / ps_h) / params.epsilon
+        + params.sigma_d_eff * ((1.0 - rho) + params.sigma_p_sq / ps_h)
     )
     return num / den
 
@@ -128,11 +127,13 @@ def f_of_rho(params, h_sq, gamma_0, rho):
 def sigma0_sq(params, h_sq, rho):
     """Effective noise sigma_0^2(rho) = sd^2*(1-rho) + sp^2*sd^2/(P_s h^2 + sr^2).
 
-    Strictly positive on (0, 1] and affine decreasing in rho.
+    Here sd^2 is the effective noise sigma_d^2/eps. Strictly positive on
+    (0, 1] and affine decreasing in rho.
     """
     rho = np.asarray(rho, dtype=float)
     ps_h = params.p_s * h_sq + params.sigma_r_sq
-    return params.sigma_d_sq * (1.0 - rho) + params.sigma_p_sq * params.sigma_d_sq / ps_h
+    sd = params.sigma_d_eff
+    return sd * (1.0 - rho) + params.sigma_p_sq * sd / ps_h
 
 
 def rho_max(params, h_sq, gamma_0):
@@ -174,7 +175,7 @@ def conditional_outage(params, h_sq, rho, lambda_g, gamma_0):
     s0 = sigma0_sq(params, h_sq, rho)
     feasible = f > 0.0
     safe_f = np.where(feasible, f, 1.0)
-    p = 1.0 - np.exp(-gamma_0 * s0 / (safe_f * lambda_g))
+    p = -np.expm1(-gamma_0 * s0 / (safe_f * lambda_g))
     out = np.where(feasible, p, 1.0)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -182,11 +183,13 @@ def conditional_outage(params, h_sq, rho, lambda_g, gamma_0):
 def full_csi_coefficients(params, h_sq, g_sq) -> FullCsiCoefficients:
     """Coefficients of the full-CSI stationarity quadratic.
 
-    a1 = sd^2 - g^2 sp^2; c1 = sd^2 + sp^2 sd^2/(P_s h^2 + sr^2); b1 = -2*c1.
+    a1 = sd^2 - g^2 sp^2; c1 = sd^2 + sp^2 sd^2/(P_s h^2 + sr^2); b1 = -2*c1,
+    with sd^2 the effective noise sigma_d^2/eps.
     """
     ps_h = params.p_s * h_sq + params.sigma_r_sq
-    c1 = params.sigma_d_sq * (1.0 + params.sigma_p_sq / ps_h)
-    a1 = params.sigma_d_sq - g_sq * params.sigma_p_sq
+    sd = params.sigma_d_eff
+    c1 = sd * (1.0 + params.sigma_p_sq / ps_h)
+    a1 = sd - g_sq * params.sigma_p_sq
     return FullCsiCoefficients(a1=a1, b1=-2.0 * c1, c1=c1)
 
 
@@ -196,7 +199,8 @@ def partial_csi_coefficients(params, h_sq, gamma_0) -> PartialCsiCoefficients:
     a2 and c2 are positive whenever P_s*|h|^2 > gamma_0*sigma_r^2; b2 > 1 always.
     """
     ps_h = params.p_s * h_sq + params.sigma_r_sq
-    a2 = (params.p_s * h_sq - gamma_0 * params.sigma_r_sq) / params.sigma_d_sq
+    sd = params.sigma_d_eff
+    a2 = (params.p_s * h_sq - gamma_0 * params.sigma_r_sq) / sd
     b2 = 1.0 + params.sigma_p_sq / ps_h
-    c2 = b2 * (a2 * params.sigma_p_sq / ps_h + gamma_0 * params.sigma_p_sq / params.sigma_d_sq)
+    c2 = b2 * (a2 * params.sigma_p_sq / ps_h + gamma_0 * params.sigma_p_sq / sd)
     return PartialCsiCoefficients(a2=a2, b2=b2, c2=c2)

@@ -44,7 +44,6 @@ class SystemParams:
     sigma_d_sq: float     # noise variance at the destination, mW
     rate: float           # fixed transmission rate, bits/sec/Hz
     epsilon: float = 1.0  # energy conversion efficiency, in (0, 1]
-    block_duration: float = 1.0  # block length T in seconds; cancels out of P_r
 
     def __post_init__(self):
         for name in ("p_s", "sigma_r_sq", "sigma_p_sq", "sigma_d_sq"):
@@ -55,13 +54,20 @@ class SystemParams:
             raise ConfigError(f"epsilon out of range (0, 1]: {self.epsilon!r}")
         if not self.rate > 0:
             raise ConfigError(f"rate must be positive, got {self.rate!r}")
-        if not self.block_duration > 0:
-            raise ConfigError(f"block_duration must be positive, got {self.block_duration!r}")
 
     @property
     def gamma_0(self) -> float:
         """SNR threshold 2^rate - 1, recomputed on every access."""
         return snr_threshold(self.rate)
+
+    @property
+    def sigma_d_eff(self) -> float:
+        """Effective destination noise sigma_d^2/eps, mW.
+
+        The relay forwards with eps times the power it harvests, so eps
+        enters every SNR, outage and policy result only through this ratio.
+        """
+        return self.sigma_d_sq / self.epsilon
 
 
 # Config keys carrying dBm values, mapped to their linear-mW field.
@@ -73,26 +79,27 @@ _DBM_KEYS = {
 }
 
 
+def require_number(v, name) -> float:
+    """A config value as a float. None (a missing key) and anything that is not
+    a finite JSON number (a string, a bool, NaN) are ConfigErrors naming it."""
+    if v is None:
+        raise ConfigError(f"missing {name}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def validate(raw) -> SystemParams:
     """Build a SystemParams from a flat config mapping.
 
     Expected keys: p_s_dbm, sigma_r_sq_dbm, sigma_p_sq_dbm, sigma_d_sq_dbm,
-    rate_bps_hz, and optionally epsilon (default 1.0) and block_duration_s
-    (default 1.0). Passing an already-validated SystemParams is a no-op.
+    rate_bps_hz, and optionally epsilon (default 1.0). Passing an
+    already-validated SystemParams is a no-op.
     """
     if isinstance(raw, SystemParams):
         return raw
-    fields = {}
-    for key, field in _DBM_KEYS.items():
-        if key not in raw:
-            raise ConfigError(f"missing {key}")
-        v = raw[key]
-        if not isinstance(v, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {v!r}")
-        fields[field] = dbm_to_linear(float(v))
-    if "rate_bps_hz" not in raw:
-        raise ConfigError("missing rate_bps_hz")
-    fields["rate"] = float(raw["rate_bps_hz"])
-    fields["epsilon"] = float(raw.get("epsilon", 1.0))
-    fields["block_duration"] = float(raw.get("block_duration_s", 1.0))
+    fields = {field: dbm_to_linear(require_number(raw.get(key), key))
+              for key, field in _DBM_KEYS.items()}
+    fields["rate"] = require_number(raw.get("rate_bps_hz"), "rate_bps_hz")
+    fields["epsilon"] = require_number(raw.get("epsilon", 1.0), "epsilon")
     return SystemParams(**fields)

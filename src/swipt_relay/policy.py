@@ -10,9 +10,8 @@ Three policies map a channel realization to a splitting ratio rho:
   harvests. The maximizer does not depend on lambda_g, so lambda_g never
   appears in the decision.
 
-The closed forms assume unit harvesting efficiency; the coefficient algebra
-does not carry over to epsilon < 1, so both dynamic policies refuse such
-params rather than silently returning a wrong optimum.
+Every rule returns rho, a scalar or an array shaped like the channel;
+rho = 1 means a harvest-only block.
 
 The oracle_grid_* functions are deliberately brute force. They are the
 independent verification route for the closed forms and must stay that way.
@@ -38,13 +37,10 @@ __all__ = [
     "FullCSI",
     "PartialCSI",
     "Policy",
-    "PolicyDecision",
     "parse_policy",
     "policy_name",
     "full_csi_rho",
     "partial_csi_rho",
-    "partial_csi_rho_array",
-    "fixed_rho",
     "decide_rho",
     "oracle_grid_full",
     "oracle_grid_partial",
@@ -73,12 +69,6 @@ class PartialCSI:
 Policy = Union[Fixed, FullCSI, PartialCSI]
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
-    rho: float
-    transmitting: bool  # false iff rho == 1 (harvest-only block)
-
-
 def parse_policy(name: str) -> Policy:
     """Parse a policy spec string: 'full_csi', 'partial_csi', or 'fixed:<rho0>'."""
     if name == "full_csi":
@@ -104,14 +94,6 @@ def policy_name(policy: Policy) -> str:
     return f"fixed:{policy.rho0:g}"
 
 
-def _require_unit_epsilon(params):
-    if params.epsilon != 1.0:
-        raise ValueError(
-            "closed-form policies require epsilon == 1; "
-            f"got epsilon={params.epsilon!r}"
-        )
-
-
 def full_csi_rho(params, h_sq, g_sq):
     """SNR-maximizing rho, closed form. Broadcasts over arrays.
 
@@ -120,14 +102,13 @@ def full_csi_rho(params, h_sq, g_sq):
     in-(0,1) root for any sign of a1 and stays exact through a1 -> 0 (where
     the two-branch textbook form needs a special case and loses digits).
     """
-    _require_unit_epsilon(params)
     co = full_csi_coefficients(params, h_sq, g_sq)
     return co.c1 / (co.c1 + np.sqrt(co.c1 * (co.c1 - co.a1)))
 
 
-def partial_csi_rho_array(params, h_sq, gamma_0) -> np.ndarray:
-    """Vectorized partial-CSI rule: rho = b2 - sqrt(c2/a2), or 1 below threshold."""
-    _require_unit_epsilon(params)
+def partial_csi_rho(params, h_sq, gamma_0):
+    """Outage-minimizing rho given |h|^2 only: rho = b2 - sqrt(c2/a2), or 1
+    (harvest only) at or below the feasibility threshold H0. Broadcasts."""
     h_sq = np.asarray(h_sq, dtype=float)
     h0 = h_threshold(params, gamma_0)
     co = partial_csi_coefficients(params, h_sq, gamma_0)
@@ -139,17 +120,6 @@ def partial_csi_rho_array(params, h_sq, gamma_0) -> np.ndarray:
     return np.where(feasible, rho, 1.0)
 
 
-def partial_csi_rho(params, h_sq, gamma_0) -> PolicyDecision:
-    """Outage-minimizing rho given |h|^2 only; rho = 1 (no transmission) if
-    the channel is below the feasibility threshold H0 (boundary included)."""
-    rho = float(partial_csi_rho_array(params, h_sq, gamma_0))
-    return PolicyDecision(rho=rho, transmitting=rho < 1.0)
-
-
-def fixed_rho(policy: Fixed) -> PolicyDecision:
-    return PolicyDecision(rho=policy.rho0, transmitting=True)
-
-
 def decide_rho(policy: Policy, params, h_sq, g_sq, gamma_0):
     """Per-realization rho for any policy; broadcasts over channel arrays."""
     if isinstance(policy, Fixed):
@@ -158,7 +128,7 @@ def decide_rho(policy: Policy, params, h_sq, g_sq, gamma_0):
     if isinstance(policy, FullCSI):
         return full_csi_rho(params, h_sq, g_sq)
     if isinstance(policy, PartialCSI):
-        return partial_csi_rho_array(params, h_sq, gamma_0)
+        return partial_csi_rho(params, h_sq, gamma_0)
     raise TypeError(f"unknown policy type: {policy!r}")
 
 
@@ -176,7 +146,7 @@ def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4) -> float:
     return float(grid[int(np.argmax(vals))])
 
 
-def oracle_grid_partial(params, h_sq, gamma_0, step: float = 1e-4) -> PolicyDecision:
+def oracle_grid_partial(params, h_sq, gamma_0, step: float = 1e-4) -> float:
     """Brute-force argmax of W(rho) over the feasible part of the grid.
 
     Empty feasible set (h below threshold, or no grid point under rho_max)
@@ -184,10 +154,10 @@ def oracle_grid_partial(params, h_sq, gamma_0, step: float = 1e-4) -> PolicyDeci
     """
     grid = _rho_grid(step)
     if h_sq <= h_threshold(params, gamma_0):
-        return PolicyDecision(rho=1.0, transmitting=False)
+        return 1.0
     r_max = rho_max(params, h_sq, gamma_0)
     mask = grid < r_max
     if not np.any(mask):
-        return PolicyDecision(rho=1.0, transmitting=False)
+        return 1.0
     vals = np.where(mask, w_ratio(params, h_sq, gamma_0, grid), -np.inf)
-    return PolicyDecision(rho=float(grid[int(np.argmax(vals))]), transmitting=True)
+    return float(grid[int(np.argmax(vals))])

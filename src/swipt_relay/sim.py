@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -19,15 +20,15 @@ import numpy as np
 from .channel import FadingParams, sample_channels, sample_gains, substream
 from .link import conditional_outage
 from .params import SystemParams, dbm_to_linear
-from .policy import Fixed, FullCSI, PartialCSI, Policy, decide_rho, policy_name
+from .policy import FullCSI, Policy, decide_rho, policy_name
 from .link import snr
 
 __all__ = [
     "BATCH_SIZE",
+    "GAIN_POLICIES",
     "OutageEstimate",
     "SweepSpec",
     "SweepRow",
-    "SweepResult",
     "GainRow",
     "outage_mc",
     "outage_point",
@@ -41,6 +42,9 @@ __all__ = [
 # Fixed batch granularity; part of the determinism contract (changing it
 # changes which substream produces which draw).
 BATCH_SIZE = 1 << 19
+
+# The gains table compares these policies with the first, its baseline.
+GAIN_POLICIES = ("fixed:0.4", "full_csi", "partial_csi", "fixed:0.6", "fixed:0.8")
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,8 @@ class SweepSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if len(self.policies) == 0:
             raise ValueError("at least one policy required")
+        for value in self.values:  # every point's params must be valid up front
+            _point_config(self, value)
 
 
 @dataclass(frozen=True)
@@ -80,12 +86,6 @@ class SweepRow:
     sweep_value: float
     policy: Policy
     estimate: OutageEstimate
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple
-    provenance: dict
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,6 @@ class GainRow:
     eta_par_se: float
     eta_06_se: float
     eta_08_se: float
-
-
-def _batch_sizes(n: int):
-    full, rem = divmod(n, BATCH_SIZE)
-    sizes = [BATCH_SIZE] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
 
 
 def _mc_batch(args):
@@ -137,19 +129,26 @@ def _sa_batch(args):
     rng = substream(seed, *key, batch_idx)
     h_sq = sample_gains(rng, fading.lambda_h, size)
     rho = decide_rho(policy, params, h_sq, None, gamma_0)
-    p = np.asarray(conditional_outage(params, h_sq, rho, fading.lambda_g, gamma_0))
-    p = np.broadcast_to(p, h_sq.shape)
-    transmitting = np.broadcast_to(np.asarray(rho) < 1.0, h_sq.shape)
-    rho_arr = np.broadcast_to(np.asarray(rho, dtype=float), h_sq.shape)
+    p = conditional_outage(params, h_sq, rho, fading.lambda_g, gamma_0)
+    transmitting = rho < 1.0
     return (
         float(p.sum()),
         float(np.square(p).sum()),
-        float(np.sum(np.where(transmitting, rho_arr, 0.0))),
+        float(np.sum(np.where(transmitting, rho, 0.0))),
         int(np.count_nonzero(transmitting)),
     )
 
 
-def _map_batches(fn, arg_list, workers):
+def _map_batches(fn, head, n, seed, key, workers):
+    """fn over the batches of n draws, in batch order. Batch b gets the
+    arguments head + (seed, key, b, size) and draws from substream(seed, *key, b)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    full, rem = divmod(n, BATCH_SIZE)
+    sizes = [BATCH_SIZE] * full + ([rem] if rem else [])
+    arg_list = [head + (seed, tuple(key), b, size) for b, size in enumerate(sizes)]
+    # More workers than cores or batches would only add start-up cost.
+    workers = min(workers, os.cpu_count() or 1, len(arg_list))
     if workers <= 1:
         return [fn(a) for a in arg_list]
     with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -158,32 +157,32 @@ def _map_batches(fn, arg_list, workers):
         return list(ex.map(fn, arg_list, chunksize=1))
 
 
+def _estimate(p, std_err, n, rho_sum, n_tx) -> OutageEstimate:
+    """OutageEstimate with rho averaged over the n_tx transmitting draws."""
+    return OutageEstimate(
+        p_out=p,
+        std_err=std_err,
+        n=n,
+        mean_rho=(rho_sum / n_tx) if n_tx else float("nan"),
+        harvest_only_fraction=(n - n_tx) / n,
+    )
+
+
 def outage_point(params, fading, policies, gamma_0, n, seed, key=(), workers=1):
     """Monte Carlo outage for several policies on shared channel draws.
 
     Returns one OutageEstimate per policy, in order.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    sizes = _batch_sizes(n)
-    args = [
-        (params, fading, tuple(policies), gamma_0, seed, tuple(key), b, size)
-        for b, size in enumerate(sizes)
-    ]
-    per_batch = _map_batches(_mc_batch, args, workers)
+    per_batch = _map_batches(
+        _mc_batch, (params, fading, tuple(policies), gamma_0), n, seed, key, workers
+    )
     estimates = []
     for j in range(len(policies)):
         n_out = sum(batch[j][0] for batch in per_batch)
         rho_sum = math.fsum(batch[j][1] for batch in per_batch)
         n_tx = sum(batch[j][2] for batch in per_batch)
         p = n_out / n
-        estimates.append(OutageEstimate(
-            p_out=p,
-            std_err=math.sqrt(p * (1.0 - p) / n),
-            n=n,
-            mean_rho=(rho_sum / n_tx) if n_tx else float("nan"),
-            harvest_only_fraction=(n - n_tx) / n,
-        ))
+        estimates.append(_estimate(p, math.sqrt(p * (1.0 - p) / n), n, rho_sum, n_tx))
     return estimates
 
 
@@ -202,14 +201,7 @@ def outage_semi_analytic(params, fading, policy, gamma_0, n_h, seed, key=(), wor
     """
     if isinstance(policy, FullCSI):
         raise ValueError("semi-analytic estimator requires a g-independent policy")
-    if n_h < 1:
-        raise ValueError(f"n_h must be >= 1, got {n_h}")
-    sizes = _batch_sizes(n_h)
-    args = [
-        (params, fading, policy, gamma_0, seed, tuple(key), b, size)
-        for b, size in enumerate(sizes)
-    ]
-    per_batch = _map_batches(_sa_batch, args, workers)
+    per_batch = _map_batches(_sa_batch, (params, fading, policy, gamma_0), n_h, seed, key, workers)
     s1 = math.fsum(b[0] for b in per_batch)
     s2 = math.fsum(b[1] for b in per_batch)
     rho_sum = math.fsum(b[2] for b in per_batch)
@@ -217,13 +209,7 @@ def outage_semi_analytic(params, fading, policy, gamma_0, n_h, seed, key=(), wor
     p = s1 / n_h
     var = (s2 - n_h * p * p) / (n_h - 1) if n_h > 1 else 0.0
     var = max(var, 0.0)  # clip tiny negative rounding residue
-    return OutageEstimate(
-        p_out=p,
-        std_err=math.sqrt(var / n_h),
-        n=n_h,
-        mean_rho=(rho_sum / n_tx) if n_tx else float("nan"),
-        harvest_only_fraction=(n_h - n_tx) / n_h,
-    )
+    return _estimate(p, math.sqrt(var / n_h), n_h, rho_sum, n_tx)
 
 
 def gain_eta(p_out_x: float, p_out_ref: float) -> float:
@@ -277,8 +263,8 @@ def _point_config(spec: SweepSpec, value):
     return params, fading
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate every (sweep value, policy) pair; deterministic in spec.seed.
+def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple:
+    """One SweepRow per (sweep value, policy), value-major; deterministic in spec.seed.
 
     Each sweep point owns the substream key (point_index,); within a point all
     policies share channel draws.
@@ -292,16 +278,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         )
         for pol, est in zip(spec.policies, estimates):
             rows.append(SweepRow(sweep_value=float(value), policy=pol, estimate=est))
-    provenance = {
-        "seed": spec.seed,
-        "n": spec.n,
-        "variable": spec.variable,
-        "values": list(spec.values),
-        "policies": [policy_name(p) for p in spec.policies],
-        "params": dataclasses.asdict(spec.params),
-        "fading": dataclasses.asdict(spec.fading),
-    }
-    return SweepResult(rows=tuple(rows), provenance=provenance)
+    return tuple(rows)
 
 
 def _eta_se(est_x: OutageEstimate, est_ref: OutageEstimate) -> float:
@@ -310,19 +287,18 @@ def _eta_se(est_x: OutageEstimate, est_ref: OutageEstimate) -> float:
     )
 
 
-def gains_from_sweep(result: SweepResult):
+def gains_from_sweep(rows):
     """GainRow per sweep value, relative to the Fixed(0.4) baseline.
 
-    Requires the sweep to include full_csi, partial_csi and fixed 0.4/0.6/0.8.
+    Requires the sweep to include every policy of GAIN_POLICIES.
     """
     by_value = {}
-    for row in result.rows:
+    for row in rows:
         by_value.setdefault(row.sweep_value, {})[policy_name(row.policy)] = row.estimate
     gains = []
     for value in sorted(by_value):
         ests = by_value[value]
-        needed = ("fixed:0.4", "full_csi", "partial_csi", "fixed:0.6", "fixed:0.8")
-        missing = [k for k in needed if k not in ests]
+        missing = [k for k in GAIN_POLICIES if k not in ests]
         if missing:
             raise ValueError(f"gain computation needs policies {missing} at value {value}")
         ref = ests["fixed:0.4"]

@@ -46,21 +46,23 @@ class BatteryResult:
     detail: str
 
 
-def random_instances(rng, count):
-    """Random (params, h_sq, g_sq) instances covering a wide operating range.
+def _random_params(rng) -> SystemParams:
+    """P_s uniform in [20, 50] dBm, each noise variance uniform in [-30, -10] dBm."""
+    return SystemParams(
+        p_s=dbm_to_linear(float(rng.uniform(20.0, 50.0))),
+        sigma_r_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
+        sigma_p_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
+        sigma_d_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
+        rate=DEFAULT_RATE,
+    )
 
-    P_s uniform in [20, 50] dBm, each noise variance uniform in [-30, -10] dBm,
-    channel gains log-uniform in [0.01, 10].
-    """
+
+def random_instances(rng, count):
+    """Random (params, h_sq, g_sq) instances covering a wide operating range:
+    params from _random_params, channel gains log-uniform in [0.01, 10]."""
     out = []
     for _ in range(count):
-        params = SystemParams(
-            p_s=dbm_to_linear(rng.uniform(20.0, 50.0)),
-            sigma_r_sq=dbm_to_linear(rng.uniform(-30.0, -10.0)),
-            sigma_p_sq=dbm_to_linear(rng.uniform(-30.0, -10.0)),
-            sigma_d_sq=dbm_to_linear(rng.uniform(-30.0, -10.0)),
-            rate=DEFAULT_RATE,
-        )
+        params = _random_params(rng)
         h_sq = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
         g_sq = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
         out.append((params, h_sq, g_sq))
@@ -99,16 +101,17 @@ def battery_partial_csi(count=10_000, step=1e-4, seed=2025, corrupt=False) -> Ba
     gamma_0 = 2.0 ** DEFAULT_RATE - 1.0
     worst_drho, worst_rel, bad_infeasible = 0.0, 0.0, 0
     for params, h_sq, _ in random_instances(rng, count):
-        dec_cf = partial_csi_rho(params, h_sq, gamma_0)
-        dec_grid = oracle_grid_partial(params, h_sq, gamma_0, step)
-        if not dec_grid.transmitting:
-            if dec_cf.rho != 1.0:
+        rho_cf = float(partial_csi_rho(params, h_sq, gamma_0))
+        rho_grid = oracle_grid_partial(params, h_sq, gamma_0, step)
+        if rho_grid == 1.0:  # harvest-only
+            if rho_cf != 1.0:
                 bad_infeasible += 1
             continue
-        rho_cf = min(dec_cf.rho + 0.05, 0.999999) if corrupt else dec_cf.rho
-        worst_drho = max(worst_drho, abs(rho_cf - dec_grid.rho))
+        if corrupt:
+            rho_cf = min(rho_cf + 0.05, 0.999999)
+        worst_drho = max(worst_drho, abs(rho_cf - rho_grid))
         w_cf = float(w_ratio(params, h_sq, gamma_0, rho_cf))
-        w_grid = float(w_ratio(params, h_sq, gamma_0, dec_grid.rho))
+        w_grid = float(w_ratio(params, h_sq, gamma_0, rho_grid))
         if w_grid > 0:
             worst_rel = max(worst_rel, (w_grid - w_cf) / w_grid)
     passed = worst_drho <= 2 * step and worst_rel <= 1e-9 and bad_infeasible == 0
@@ -128,13 +131,7 @@ def battery_snr_identity(count=100_000, seed=2026, tol=1e-10) -> BatteryResult:
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        params = SystemParams(
-            p_s=dbm_to_linear(float(rng.uniform(20.0, 50.0))),
-            sigma_r_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
-            sigma_p_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
-            sigma_d_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
-            rate=DEFAULT_RATE,
-        )
+        params = _random_params(rng)
         h_sq = np.exp(rng.uniform(np.log(0.01), np.log(10.0), m))
         g_sq = np.exp(rng.uniform(np.log(0.01), np.log(10.0), m))
         rho = rng.uniform(1e-6, 1.0 - 1e-6, m)

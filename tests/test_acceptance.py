@@ -31,7 +31,7 @@ from swipt_relay.policy import (
     Fixed,
     FullCSI,
     PartialCSI,
-    partial_csi_rho_array,
+    partial_csi_rho,
     policy_name,
 )
 from swipt_relay.sim import (
@@ -92,7 +92,7 @@ def exact_outage(params, fading, rho0=None):
         h_c = gamma_0 * (params.sigma_r_sq + params.sigma_p_sq / (1.0 - rho0)) / params.p_s
 
     def integrand(h):
-        rho = partial_csi_rho_array(params, h, gamma_0) if rho0 is None else rho0
+        rho = partial_csi_rho(params, h, gamma_0) if rho0 is None else rho0
         p = conditional_outage(params, h, rho, fading.lambda_g, gamma_0)
         return p * math.exp(-h / lam) / lam
 
@@ -306,7 +306,7 @@ def test_criterion_8_policy_dominance(fig2_curves, lambda_g_sweep, lambda_h_swee
         points.append({name: fig2_curves[name][i][1] for name in fig2_curves})
     for sweep in (lambda_g_sweep, lambda_h_sweep):
         by_value = {}
-        for row in sweep.rows:
+        for row in sweep:
             by_value.setdefault(row.sweep_value, {})[policy_name(row.policy)] = row.estimate
         points.extend(by_value.values())
     violations = 0

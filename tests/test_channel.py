@@ -7,7 +7,6 @@ from scipy import stats
 from swipt_relay.channel import (
     FadingParams,
     make_rng,
-    sample_channel,
     sample_channels,
     sample_gains,
     substream,
@@ -101,10 +100,6 @@ class TestExponentialSampling:
 
 
 class TestTypes:
-    def test_single_realization(self):
-        r = sample_channel(make_rng(10), FadingParams(1.5, 1.5))
-        assert r.h_sq > 0 and r.g_sq > 0
-
     @pytest.mark.parametrize("lh,lg", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_fading_params_validated(self, lh, lg):
         with pytest.raises(ValueError):

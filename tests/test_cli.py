@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from swipt_relay import cli
 from swipt_relay.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -33,6 +34,43 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+NAN = float("nan")
+LAMBDA_G_SWEEP = {"variable": "lambda_g", "values": [1.0, 2.0]}
+NO_FIXED_08 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6"]
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("point", {"rate_bps_hz": "abc"}),
+    ("point", {"seed": -1}),
+    ("point", {"n": True}),
+    ("point", {"n": 2.5}),
+    ("sweep", {"sweep": {"variable": "lambda_g", "values": [1.0, NAN]}}),
+    ("sweep", {"sweep": {"variable": "p_s_dbm", "values": [30.0, 40.0, NAN]}}),
+    ("sweep", {"sweep": {"variable": "lambda_h", "values": [-1.0, 1.0]}}),
+    ("sweep", {"sweep": {"variable": "lambda_g", "values": 5}}),
+    ("sweep", {"sweep": {"variable": "lambda_g", "values": [True, 2.0]}}),
+    ("gains", {"sweep": LAMBDA_G_SWEEP, "policies": NO_FIXED_08}),
+    ("sweep", {"sweep": LAMBDA_G_SWEEP, "policies": NO_FIXED_08, "gains_out": "GAINS"}),
+    ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "no-such-dir/gains.csv"}),
+], ids=[
+    "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
+    "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
+    "gains_out-incomplete", "gains_out-missing-dir",
+])
+def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
+    def no_compute(*args, **kwargs):
+        pytest.fail("compute started on a bad config")
+
+    monkeypatch.setattr(cli, "outage_point", no_compute)
+    monkeypatch.setattr(cli, "run_sweep", no_compute)
+    if overrides.get("gains_out"):
+        overrides = dict(overrides, gains_out=str(tmp_path / overrides["gains_out"]))
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
 class TestPoint:

@@ -11,7 +11,6 @@ from swipt_relay.link import (
     f_of_rho,
     full_csi_coefficients,
     h_threshold,
-    harvested_energy,
     harvested_power,
     rho_max,
     sigma0_sq,
@@ -57,12 +56,6 @@ class TestHarvestedPower:
             0.5 * harvested_power(ref_params, 1.5, 0.7), rel=1e-15
         )
 
-    def test_energy_is_power_times_half_block(self, ref_params):
-        p = dataclasses.replace(ref_params, block_duration=4.0)
-        assert harvested_energy(p, 1.5, 0.3) == pytest.approx(
-            2.0 * harvested_power(p, 1.5, 0.3), rel=1e-15
-        )
-
 
 class TestSnr:
     def test_zero_at_endpoints(self, ref_params):
@@ -105,9 +98,11 @@ class TestSnrBetaIdentity:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_randomized_identity(self):
+        # epsilon < 1 too: snr() folds it into sigma_d^2/eps, snr_via_beta()
+        # carries it literally through the relay's harvested power
         rng = make_rng(12)
         for _ in range(100):
-            p = random_params(rng)
+            p = dataclasses.replace(random_params(rng), epsilon=rng.uniform(0.1, 1.0))
             h = random_gain(rng, 100)
             g = random_gain(rng, 100)
             rho = rng.uniform(1e-6, 1 - 1e-6, 100)
@@ -266,6 +261,16 @@ class TestConditionalOutage:
         hs = [0.1, 0.5, 1.0, 2.0, 5.0]
         vals = [conditional_outage(ref_params, h, 0.5, 1.5, GAMMA_0) for h in hs]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_relative_precision_at_tiny_outage(self, ref_params):
+        # at 54 dBm the exponent x is about 1.2e-8, where 1 - exp(-x) keeps
+        # only about 8 significant digits
+        p = dataclasses.replace(ref_params, p_s=dbm_to_linear(54.0))
+        h, rho, lam_g = 50.0, 0.6, 1.5
+        x = GAMMA_0 * float(sigma0_sq(p, h, rho)) / (float(f_of_rho(p, h, GAMMA_0, rho)) * lam_g)
+        assert 1e-8 < x < 2e-8
+        exact = -math.expm1(-x)
+        assert abs(conditional_outage(p, h, rho, lam_g, GAMMA_0) - exact) <= 1e-14 * exact
 
     def test_against_mc_over_g(self, ref_params):
         # the closed form is the expectation over the exponential g; check it

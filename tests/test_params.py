@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -70,7 +68,7 @@ class TestValidate:
         assert p.p_s == pytest.approx(10000.0, rel=1e-12)
         assert p.gamma_0 == 7.0
         assert p.epsilon == 1.0
-        assert p.block_duration == 1.0
+        assert p.sigma_d_eff == p.sigma_d_sq
 
     def test_epsilon_zero_rejected(self):
         cfg = dict(REF_CONFIG, epsilon=0.0)
@@ -80,6 +78,10 @@ class TestValidate:
     def test_epsilon_above_one_rejected(self):
         with pytest.raises(ConfigError, match="epsilon"):
             validate(dict(REF_CONFIG, epsilon=1.5))
+
+    def test_epsilon_folds_into_destination_noise(self):
+        p = validate(dict(REF_CONFIG, epsilon=0.25))
+        assert p.sigma_d_eff == pytest.approx(4.0 * p.sigma_d_sq, rel=1e-15)
 
     def test_missing_field_names_the_field(self):
         cfg = dict(REF_CONFIG)
@@ -117,9 +119,3 @@ class TestSystemParamsInvariants:
         p = validate(REF_CONFIG)
         with pytest.raises(Exception):
             p.p_s = 1.0
-
-    def test_harvested_energy_uses_block_duration(self):
-        # T is bookkeeping only; check it is stored as configured
-        p = validate(dict(REF_CONFIG, block_duration_s=2.5))
-        assert p.block_duration == 2.5
-        assert math.isfinite(p.gamma_0)

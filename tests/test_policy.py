@@ -19,7 +19,6 @@ from swipt_relay.policy import (
     FullCSI,
     PartialCSI,
     decide_rho,
-    fixed_rho,
     full_csi_rho,
     oracle_grid_full,
     oracle_grid_partial,
@@ -35,6 +34,38 @@ GAMMA_0 = 7.0
 # by 1e-6-step grid search on the respective objectives.
 FULL_RHO_REF = 0.5356034165509731
 PART_RHO_REF = 0.9976912602008429
+
+
+def instances_below_unit_epsilon(seed, count):
+    """random_instances with epsilon uniform in [0.2, 1)."""
+    rng = make_rng(seed)
+    return [
+        (dataclasses.replace(params, epsilon=rng.uniform(0.2, 1.0)), h_sq, g_sq)
+        for params, h_sq, g_sq in random_instances(rng, count)
+    ]
+
+
+def check_full_against_grid(instances):
+    for params, h_sq, g_sq in instances:
+        rho_cf = float(full_csi_rho(params, h_sq, g_sq))
+        rho_grid = oracle_grid_full(params, h_sq, g_sq, step=1e-4)
+        assert abs(rho_cf - rho_grid) <= 2e-4
+        s_cf = float(snr(params, h_sq, g_sq, rho_cf))
+        s_grid = float(snr(params, h_sq, g_sq, rho_grid))
+        assert s_cf >= s_grid * (1 - 1e-9)
+
+
+def check_partial_against_grid(instances):
+    for params, h_sq, _ in instances:
+        rho_cf = float(partial_csi_rho(params, h_sq, GAMMA_0))
+        rho_grid = oracle_grid_partial(params, h_sq, GAMMA_0, step=1e-4)
+        assert (rho_cf == 1.0) == (rho_grid == 1.0)
+        if rho_grid == 1.0:
+            continue
+        assert abs(rho_cf - rho_grid) <= 2e-4
+        w_cf = float(w_ratio(params, h_sq, GAMMA_0, rho_cf))
+        w_grid = float(w_ratio(params, h_sq, GAMMA_0, rho_grid))
+        assert w_cf >= w_grid * (1 - 1e-9)
 
 
 class TestFullCsiClosedForm:
@@ -77,87 +108,60 @@ class TestFullCsiClosedForm:
         assert rho == pytest.approx(0.5, abs=1e-9)
 
     def test_optimal_against_grid(self):
-        rng = make_rng(23)
-        for params, h_sq, g_sq in random_instances(rng, 200):
-            rho_cf = float(full_csi_rho(params, h_sq, g_sq))
-            rho_grid = oracle_grid_full(params, h_sq, g_sq, step=1e-4)
-            assert abs(rho_cf - rho_grid) <= 2e-4
-            s_cf = float(snr(params, h_sq, g_sq, rho_cf))
-            s_grid = float(snr(params, h_sq, g_sq, rho_grid))
-            assert s_cf >= s_grid * (1 - 1e-9)
+        check_full_against_grid(random_instances(make_rng(23), 200))
 
-    def test_requires_unit_epsilon(self, ref_params):
-        p = dataclasses.replace(ref_params, epsilon=0.9)
-        with pytest.raises(ValueError, match="epsilon"):
-            full_csi_rho(p, 1.5, 1.5)
+    def test_grid_agreement_below_unit_epsilon(self):
+        check_full_against_grid(instances_below_unit_epsilon(26, 150))
 
 
 class TestPartialCsiClosedForm:
     def test_below_threshold_harvests(self, ref_params):
-        dec = partial_csi_rho(ref_params, 1.0e-5, GAMMA_0)  # H0 = 1.4e-5
-        assert dec.rho == 1.0
-        assert not dec.transmitting
+        assert partial_csi_rho(ref_params, 1.0e-5, GAMMA_0) == 1.0  # H0 = 1.4e-5
 
     def test_boundary_assigned_to_harvest(self, ref_params):
         h0 = h_threshold(ref_params, GAMMA_0)
-        dec = partial_csi_rho(ref_params, h0, GAMMA_0)
-        assert dec.rho == 1.0
-        assert not dec.transmitting
+        assert partial_csi_rho(ref_params, h0, GAMMA_0) == 1.0
 
     def test_reference_value(self, ref_params):
-        dec = partial_csi_rho(ref_params, 1.5, GAMMA_0)
-        assert dec.transmitting
-        assert dec.rho == pytest.approx(PART_RHO_REF, rel=1e-10)
+        assert float(partial_csi_rho(ref_params, 1.5, GAMMA_0)) == pytest.approx(
+            PART_RHO_REF, rel=1e-10
+        )
 
     def test_matches_fine_grid(self, ref_params):
-        dec = partial_csi_rho(ref_params, 1.5, GAMMA_0)
+        rho = float(partial_csi_rho(ref_params, 1.5, GAMMA_0))
         grid = oracle_grid_partial(ref_params, 1.5, GAMMA_0, step=1e-5)
-        assert abs(dec.rho - grid.rho) <= 2e-5
+        assert abs(rho - grid) <= 2e-5
 
     def test_inside_feasible_set(self):
         rng = make_rng(24)
         for params, h_sq, _ in random_instances(rng, 500):
-            dec = partial_csi_rho(params, h_sq, GAMMA_0)
-            if not dec.transmitting:
+            rho = float(partial_csi_rho(params, h_sq, GAMMA_0))
+            if rho == 1.0:
                 assert h_sq <= h_threshold(params, GAMMA_0)
                 continue
             r_max = float(rho_max(params, h_sq, GAMMA_0))
-            assert 0.0 < dec.rho < r_max
+            assert 0.0 < rho < r_max
 
     def test_optimal_against_grid(self):
-        rng = make_rng(25)
-        for params, h_sq, _ in random_instances(rng, 200):
-            dec = partial_csi_rho(params, h_sq, GAMMA_0)
-            grid = oracle_grid_partial(params, h_sq, GAMMA_0, step=1e-4)
-            assert dec.transmitting == grid.transmitting
-            if not grid.transmitting:
-                continue
-            assert abs(dec.rho - grid.rho) <= 2e-4
-            w_cf = float(w_ratio(params, h_sq, GAMMA_0, dec.rho))
-            w_grid = float(w_ratio(params, h_sq, GAMMA_0, grid.rho))
-            assert w_cf >= w_grid * (1 - 1e-9)
+        check_partial_against_grid(random_instances(make_rng(25), 200))
 
     def test_argmin_invariant_in_lambda_g(self, ref_params):
         # the chosen rho minimizes the conditional outage for ANY lambda_g
-        dec = partial_csi_rho(ref_params, 1.5, GAMMA_0)
+        rho = float(partial_csi_rho(ref_params, 1.5, GAMMA_0))
         grid = np.linspace(1e-4, 1 - 1e-4, 9999)
         for lam_g in (0.1, 1.0, 10.0):
             outs = conditional_outage(ref_params, 1.5, grid, lam_g, GAMMA_0)
             best = grid[int(np.argmin(outs))]
-            assert abs(best - dec.rho) <= 2e-4
+            assert abs(best - rho) <= 2e-4
 
-    def test_requires_unit_epsilon(self, ref_params):
-        p = dataclasses.replace(ref_params, epsilon=0.5)
-        with pytest.raises(ValueError, match="epsilon"):
-            partial_csi_rho(p, 1.5, GAMMA_0)
+    def test_grid_agreement_below_unit_epsilon(self):
+        check_partial_against_grid(instances_below_unit_epsilon(27, 150))
 
 
 class TestFixedPolicy:
     @pytest.mark.parametrize("rho0", [0.4, 0.6, 0.8])
-    def test_returns_rho0(self, rho0):
-        dec = fixed_rho(Fixed(rho0))
-        assert dec.rho == rho0
-        assert dec.transmitting
+    def test_returns_rho0(self, ref_params, rho0):
+        assert decide_rho(Fixed(rho0), ref_params, 1.5, 1.5, GAMMA_0) == rho0
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_rho0_strictly_interior(self, bad):
@@ -182,8 +186,7 @@ class TestOracles:
         assert abs(rho - 0.5) <= 1e-4
 
     def test_partial_oracle_infeasible(self, ref_params):
-        dec = oracle_grid_partial(ref_params, 1.0e-5, GAMMA_0, step=1e-4)
-        assert dec.rho == 1.0 and not dec.transmitting
+        assert oracle_grid_partial(ref_params, 1.0e-5, GAMMA_0, step=1e-4) == 1.0
 
 
 class TestPolicyNames:

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from swipt_relay.channel import FadingParams
-from swipt_relay.link import h_threshold
-from swipt_relay.policy import Fixed, FullCSI, PartialCSI
+from swipt_relay import sim
+from swipt_relay.channel import FadingParams, make_rng, sample_channels
+from swipt_relay.link import h_threshold, snr
+from swipt_relay.params import dbm_to_linear
+from swipt_relay.policy import Fixed, FullCSI, PartialCSI, full_csi_rho, partial_csi_rho
 from swipt_relay.sim import (
     SweepSpec,
     gain_eta,
@@ -65,6 +67,44 @@ class TestOutageMc:
         b = outage_point(ref_params, ref_fading, (FullCSI(),), GAMMA_0, 10**6, 10, workers=3)
         assert a == b
 
+    @pytest.mark.parametrize("cpus,expected", [(2, 2), (8, 3)])
+    def test_workers_clamped_to_cores_and_batches(self, monkeypatch, ref_params,
+                                                  ref_fading, cpus, expected):
+        started = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process: starts nothing."""
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(sim, "BATCH_SIZE", 1000)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        policies = (FullCSI(), Fixed(0.6))
+        serial = outage_point(ref_params, ref_fading, policies, GAMMA_0, 2500, 12)
+        pooled = outage_point(ref_params, ref_fading, policies, GAMMA_0, 2500, 12, workers=64)
+        assert started == [expected]  # 3 batches
+        assert pooled == serial
+
+    @pytest.mark.parametrize("p_s_dbm", [30.0, 40.0, 50.0])
+    def test_full_and_partial_csi_fail_on_the_same_draws(self, ref_params, ref_fading, p_s_dbm):
+        # both fail exactly when |g|^2 * max_rho W(rho) < gamma_0
+        params = dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s_dbm))
+        h, g = sample_channels(make_rng(13), ref_fading, 1 << 19)
+        full = snr(params, h, g, full_csi_rho(params, h, g)) < GAMMA_0
+        partial = snr(params, h, g, partial_csi_rho(params, h, GAMMA_0)) < GAMMA_0
+        assert np.any(full)
+        assert np.count_nonzero(full != partial) == 0
+
 
 class TestSemiAnalytic:
     def test_rejects_full_csi(self, ref_params, ref_fading):
@@ -83,11 +123,13 @@ class TestSemiAnalytic:
         assert est.p_out > 0.999
 
     def test_cross_check_with_mc(self, ref_params, ref_fading):
-        for policy in (PartialCSI(), Fixed(0.6)):
-            mc = outage_mc(ref_params, ref_fading, policy, GAMMA_0, 4 * 10**5, 11)
-            sa = outage_semi_analytic(ref_params, ref_fading, policy, GAMMA_0, 4 * 10**5, 12)
-            limit = 3 * math.hypot(mc.std_err, sa.std_err)
-            assert abs(mc.p_out - sa.p_out) <= limit
+        for eps in (1.0, 0.5):
+            params = dataclasses.replace(ref_params, epsilon=eps)
+            for policy in (PartialCSI(), Fixed(0.6)):
+                mc = outage_mc(params, ref_fading, policy, GAMMA_0, 4 * 10**5, 11)
+                sa = outage_semi_analytic(params, ref_fading, policy, GAMMA_0, 4 * 10**5, 12)
+                limit = 3 * math.hypot(mc.std_err, sa.std_err)
+                assert abs(mc.p_out - sa.p_out) <= limit, (eps, policy)
 
 
 class TestGainEta:
@@ -149,18 +191,16 @@ class TestRunSweep:
             params=ref_params, fading=ref_fading,
             policies=self.POLICIES, n=1000, seed=1,
         )
-        result = run_sweep(spec)
-        assert len(result.rows) == 11 * 5
-        assert result.provenance["seed"] == 1
+        assert len(run_sweep(spec)) == 11 * 5
 
     def test_single_point_single_policy_n1(self, ref_params, ref_fading):
         spec = SweepSpec(
             variable="lambda_g", values=(1.5,), params=ref_params,
             fading=ref_fading, policies=(Fixed(0.4),), n=1, seed=2,
         )
-        result = run_sweep(spec)
-        assert len(result.rows) == 1
-        assert result.rows[0].estimate.p_out in (0.0, 1.0)
+        rows = run_sweep(spec)
+        assert len(rows) == 1
+        assert rows[0].estimate.p_out in (0.0, 1.0)
 
     def test_deterministic_and_worker_independent(self, ref_params, ref_fading):
         spec = SweepSpec(
