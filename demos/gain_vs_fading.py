@@ -12,7 +12,7 @@ Run:  python3 demos/gain_vs_fading.py          (~30 s at n=300k per point)
 from swipt_relay.channel import FadingParams
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import Fixed, FullCSI, PartialCSI
-from swipt_relay.sim import SweepSpec, gains_from_sweep, run_sweep
+from swipt_relay.sim import GAIN_POLICIES, SweepSpec, gains_from_sweep, run_sweep
 
 params = SystemParams(
     p_s=dbm_to_linear(40.0),
@@ -36,5 +36,4 @@ gains = gains_from_sweep(run_sweep(spec, workers=1))
 print("log-ratio gain over fixed rho=0.4 (n = {:,} per point)\n".format(spec.n))
 print(f"{'lambda_g':>8} {'full_csi':>10} {'partial':>10} {'rho=0.6':>10} {'rho=0.8':>10}")
 for g in gains:
-    print(f"{g.sweep_value:8.1f} {g.eta_full:10.3f} {g.eta_par:10.3f} "
-          f"{g.eta_06:10.3f} {g.eta_08:10.3f}")
+    print(f"{g.sweep_value:8.1f}" + "".join(f" {g.eta[name][0]:10.3f}" for name in GAIN_POLICIES))

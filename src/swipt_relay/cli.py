@@ -18,7 +18,7 @@ import tempfile
 from .channel import FadingParams
 from .params import ConfigError, require_number, validate
 from .policy import parse_policy, policy_name
-from .sim import GAIN_POLICIES, SweepSpec, gains_from_sweep, outage_point, run_sweep
+from .sim import GAIN_BASELINE, GAIN_POLICIES, SweepSpec, gains_from_sweep, outage_point, run_sweep
 from . import verify as verify_mod
 
 DEFAULT_SEED = 12345
@@ -171,7 +171,7 @@ def _parse(args):
         gains_out = _out_path(cfg["gains_out"])
     if gains_out is not None:
         names = {policy_name(p) for p in spec.policies}
-        missing = [p for p in GAIN_POLICIES if p not in names]
+        missing = [p for p in (GAIN_BASELINE,) + GAIN_POLICIES if p not in names]
         if missing:
             raise ConfigError(f"the gains table needs the policies {missing}")
     return cfg, spec, out, gains_out
@@ -196,13 +196,10 @@ def cmd_point(args) -> int:
 
 
 def _gain_rows(sweep_rows):
-    rows = []
-    for g in gains_from_sweep(sweep_rows):
-        rows.append((
-            _fmt(g.sweep_value),
-            _fmt(g.eta_full), _fmt(g.eta_par), _fmt(g.eta_06), _fmt(g.eta_08),
-        ))
-    return rows
+    return [
+        (_fmt(g.sweep_value),) + tuple(_fmt(g.eta[name][0]) for name in GAIN_POLICIES)
+        for g in gains_from_sweep(sweep_rows)
+    ]
 
 
 def cmd_sweep(args) -> int:
@@ -223,7 +220,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(quick=args.quick, corrupt=args.inject_fault)
+    results = verify_mod.run_all(quick=args.quick)
     failed = False
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -240,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_config=True):
-        p.add_argument("--config", required=need_config, help="JSON config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output CSV path (overrides config)")
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (overrides config; default {DEFAULT_SEED})")
@@ -258,14 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_gains = sub.add_parser("gains", help="log-ratio gains vs the fixed 0.4 baseline")
+    p_gains = sub.add_parser("gains", help=f"log-ratio gains vs the {GAIN_BASELINE} baseline")
     common(p_gains)
     p_gains.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run closed-form vs oracle batteries")
     p_verify.add_argument("--quick", action="store_true",
                           help="reduced instance counts, same batteries")
-    p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

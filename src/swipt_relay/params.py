@@ -16,9 +16,9 @@ class ConfigError(ValueError):
 
 
 def dbm_to_linear(x_dbm: float) -> float:
-    """Convert dBm to linear milliwatts: 10^(x/10)."""
-    if not math.isfinite(x_dbm):
-        raise ConfigError(f"non-finite dBm value: {x_dbm!r}")
+    """Convert dBm to linear milliwatts: 10^(x/10), for |x| <= 3000 dBm only."""
+    if not abs(x_dbm) <= 3000.0:
+        raise ConfigError(f"dBm value out of range [-3000, 3000]: {x_dbm!r}")
     return 10.0 ** (x_dbm / 10.0)
 
 
@@ -93,11 +93,8 @@ def validate(raw) -> SystemParams:
     """Build a SystemParams from a flat config mapping.
 
     Expected keys: p_s_dbm, sigma_r_sq_dbm, sigma_p_sq_dbm, sigma_d_sq_dbm,
-    rate_bps_hz, and optionally epsilon (default 1.0). Passing an
-    already-validated SystemParams is a no-op.
+    rate_bps_hz, and optionally epsilon (default 1.0).
     """
-    if isinstance(raw, SystemParams):
-        return raw
     fields = {field: dbm_to_linear(require_number(raw.get(key), key))
               for key, field in _DBM_KEYS.items()}
     fields["rate"] = require_number(raw.get("rate_bps_hz"), "rate_bps_hz")

@@ -25,6 +25,7 @@ from .link import snr
 
 __all__ = [
     "BATCH_SIZE",
+    "GAIN_BASELINE",
     "GAIN_POLICIES",
     "OutageEstimate",
     "SweepSpec",
@@ -43,8 +44,9 @@ __all__ = [
 # changes which substream produces which draw).
 BATCH_SIZE = 1 << 19
 
-# The gains table compares these policies with the first, its baseline.
-GAIN_POLICIES = ("fixed:0.4", "full_csi", "partial_csi", "fixed:0.6", "fixed:0.8")
+# The gains table compares these policies, in column order, with its baseline.
+GAIN_BASELINE = "fixed:0.4"
+GAIN_POLICIES = ("full_csi", "partial_csi", "fixed:0.6", "fixed:0.8")
 
 
 @dataclass(frozen=True)
@@ -90,18 +92,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class GainRow:
-    """Log-ratio gains vs the Fixed(0.4) baseline at one sweep value,
-    with first-order standard errors (independence approximation, which is
-    conservative under common random numbers)."""
+    """Log-ratio gains vs GAIN_BASELINE at one sweep value: eta maps each name
+    of GAIN_POLICIES, in order, to (eta, se); se is first-order (independence
+    approximation, which is conservative under common random numbers)."""
     sweep_value: float
-    eta_full: float
-    eta_par: float
-    eta_06: float
-    eta_08: float
-    eta_full_se: float
-    eta_par_se: float
-    eta_06_se: float
-    eta_08_se: float
+    eta: dict
 
 
 def _mc_batch(args):
@@ -186,12 +181,12 @@ def outage_point(params, fading, policies, gamma_0, n, seed, key=(), workers=1):
     return estimates
 
 
-def outage_mc(params, fading, policy, gamma_0, n, seed, key=(), workers=1) -> OutageEstimate:
+def outage_mc(params, fading, policy, gamma_0, n, seed, workers=1) -> OutageEstimate:
     """Monte Carlo outage probability for a single policy."""
-    return outage_point(params, fading, (policy,), gamma_0, n, seed, key, workers)[0]
+    return outage_point(params, fading, (policy,), gamma_0, n, seed, workers=workers)[0]
 
 
-def outage_semi_analytic(params, fading, policy, gamma_0, n_h, seed, key=(), workers=1) -> OutageEstimate:
+def outage_semi_analytic(params, fading, policy, gamma_0, n_h, seed, workers=1) -> OutageEstimate:
     """Outage via sampled h and the closed-form expectation over g.
 
     Only valid for policies whose rho does not depend on g (PartialCSI and
@@ -201,7 +196,7 @@ def outage_semi_analytic(params, fading, policy, gamma_0, n_h, seed, key=(), wor
     """
     if isinstance(policy, FullCSI):
         raise ValueError("semi-analytic estimator requires a g-independent policy")
-    per_batch = _map_batches(_sa_batch, (params, fading, policy, gamma_0), n_h, seed, key, workers)
+    per_batch = _map_batches(_sa_batch, (params, fading, policy, gamma_0), n_h, seed, (), workers)
     s1 = math.fsum(b[0] for b in per_batch)
     s2 = math.fsum(b[1] for b in per_batch)
     rho_sum = math.fsum(b[2] for b in per_batch)
@@ -288,9 +283,9 @@ def _eta_se(est_x: OutageEstimate, est_ref: OutageEstimate) -> float:
 
 
 def gains_from_sweep(rows):
-    """GainRow per sweep value, relative to the Fixed(0.4) baseline.
+    """GainRow per sweep value, relative to GAIN_BASELINE.
 
-    Requires the sweep to include every policy of GAIN_POLICIES.
+    Requires the sweep to include the baseline and every policy of GAIN_POLICIES.
     """
     by_value = {}
     for row in rows:
@@ -298,19 +293,12 @@ def gains_from_sweep(rows):
     gains = []
     for value in sorted(by_value):
         ests = by_value[value]
-        missing = [k for k in GAIN_POLICIES if k not in ests]
+        missing = [k for k in (GAIN_BASELINE,) + GAIN_POLICIES if k not in ests]
         if missing:
             raise ValueError(f"gain computation needs policies {missing} at value {value}")
-        ref = ests["fixed:0.4"]
-        def eta(name):
-            return gain_eta(ests[name].p_out, ref.p_out), _eta_se(ests[name], ref)
-        e_full, se_full = eta("full_csi")
-        e_par, se_par = eta("partial_csi")
-        e_06, se_06 = eta("fixed:0.6")
-        e_08, se_08 = eta("fixed:0.8")
-        gains.append(GainRow(
-            sweep_value=value,
-            eta_full=e_full, eta_par=e_par, eta_06=e_06, eta_08=e_08,
-            eta_full_se=se_full, eta_par_se=se_par, eta_06_se=se_06, eta_08_se=se_08,
-        ))
+        ref = ests[GAIN_BASELINE]
+        gains.append(GainRow(value, {
+            name: (gain_eta(ests[name].p_out, ref.p_out), _eta_se(ests[name], ref))
+            for name in GAIN_POLICIES
+        }))
     return gains

@@ -47,13 +47,14 @@ class BatteryResult:
 
 
 def _random_params(rng) -> SystemParams:
-    """P_s uniform in [20, 50] dBm, each noise variance uniform in [-30, -10] dBm."""
+    """P_s uniform in [20, 50] dBm, noises in [-30, -10] dBm, epsilon in [0.2, 1)."""
     return SystemParams(
         p_s=dbm_to_linear(float(rng.uniform(20.0, 50.0))),
         sigma_r_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
         sigma_p_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
         sigma_d_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
         rate=DEFAULT_RATE,
+        epsilon=float(rng.uniform(0.2, 1.0)),
     )
 
 
@@ -69,20 +70,16 @@ def random_instances(rng, count):
     return out
 
 
-def battery_full_csi(count=10_000, step=1e-4, seed=2024, corrupt=False) -> BatteryResult:
+def battery_full_csi(count=10_000, step=1e-4, seed=2024) -> BatteryResult:
     """Closed-form SNR-optimal rho vs grid argmax.
 
     Checks |rho_closed - rho_grid| <= 2*step and that the closed form's SNR is
-    never below the grid's best by more than 1e-9 relative. `corrupt` is a
-    fault-injection hook: it perturbs the closed-form rho so the battery must
-    fail, proving the check has teeth.
+    never below the grid's best by more than 1e-9 relative.
     """
     rng = make_rng(seed)
     worst_drho, worst_rel = 0.0, 0.0
     for params, h_sq, g_sq in random_instances(rng, count):
         rho_cf = float(full_csi_rho(params, h_sq, g_sq))
-        if corrupt:
-            rho_cf = min(rho_cf + 0.05, 0.999999)
         rho_grid = oracle_grid_full(params, h_sq, g_sq, step)
         snr_cf = float(snr(params, h_sq, g_sq, rho_cf))
         snr_grid = float(snr(params, h_sq, g_sq, rho_grid))
@@ -95,7 +92,7 @@ def battery_full_csi(count=10_000, step=1e-4, seed=2024, corrupt=False) -> Batte
     )
 
 
-def battery_partial_csi(count=10_000, step=1e-4, seed=2025, corrupt=False) -> BatteryResult:
+def battery_partial_csi(count=10_000, step=1e-4, seed=2025) -> BatteryResult:
     """Closed-form partial-CSI rho vs grid argmax of W over the feasible set."""
     rng = make_rng(seed)
     gamma_0 = 2.0 ** DEFAULT_RATE - 1.0
@@ -107,8 +104,6 @@ def battery_partial_csi(count=10_000, step=1e-4, seed=2025, corrupt=False) -> Ba
             if rho_cf != 1.0:
                 bad_infeasible += 1
             continue
-        if corrupt:
-            rho_cf = min(rho_cf + 0.05, 0.999999)
         worst_drho = max(worst_drho, abs(rho_cf - rho_grid))
         w_cf = float(w_ratio(params, h_sq, gamma_0, rho_cf))
         w_grid = float(w_ratio(params, h_sq, gamma_0, rho_grid))
@@ -165,11 +160,11 @@ def battery_estimator_cross_check(n=200_000, seed=2027) -> BatteryResult:
     return BatteryResult("mc_vs_semi_analytic", passed, "; ".join(details))
 
 
-def run_all(quick=False, corrupt=False):
+def run_all(quick=False):
     """Run every battery; `quick` shrinks instance counts, not coverage."""
     scale = 10 if quick else 1
     return [
-        battery_full_csi(count=10_000 // scale, corrupt=corrupt),
+        battery_full_csi(count=10_000 // scale),
         battery_partial_csi(count=10_000 // scale),
         battery_snr_identity(count=100_000 // scale),
         battery_estimator_cross_check(n=200_000 // scale),

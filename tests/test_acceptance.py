@@ -232,9 +232,9 @@ def test_criterion_5_power_sweep_gains(fig2_curves):
     )
 
 
-def _adjacent_trend_ok(values, ses, direction):
-    """direction=-1: non-increasing within 2 sigma; +1: non-decreasing."""
-    for (v1, s1), (v2, s2) in zip(zip(values, ses), zip(values[1:], ses[1:])):
+def _adjacent_trend_ok(pairs, direction):
+    """(eta, se) pairs; direction=-1: non-increasing within 2 sigma; +1: non-decreasing."""
+    for (v1, s1), (v2, s2) in zip(pairs, pairs[1:]):
         slack = 2.0 * math.hypot(s1, s2)
         if direction < 0 and v2 > v1 + slack:
             return False
@@ -245,10 +245,8 @@ def _adjacent_trend_ok(values, ses, direction):
 
 def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep):
     gains = gains_from_sweep(lambda_g_sweep)
-    full_ok = _adjacent_trend_ok([g.eta_full for g in gains],
-                                 [g.eta_full_se for g in gains], -1)
-    par_ok = _adjacent_trend_ok([g.eta_par for g in gains],
-                                [g.eta_par_se for g in gains], -1)
+    full_ok = _adjacent_trend_ok([g.eta["full_csi"] for g in gains], -1)
+    par_ok = _adjacent_trend_ok([g.eta["partial_csi"] for g in gains], -1)
     # Sign and order margins are far below the MC resolution at n=1e6 (about
     # 45 outage events per point), so they are judged on exact outage and the
     # MC sweep is tied to it within 3 sigma.
@@ -266,8 +264,8 @@ def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep):
     quad_err = max(err / p for e in exact.values() for p, err in e.values())
     quad_ok = quad_err < err_limit
     z_max = max(
-        max(abs(g.eta_06 - eta_06[g.sweep_value]) / g.eta_06_se,
-            abs(g.eta_08 - eta_08[g.sweep_value]) / g.eta_08_se)
+        abs(g.eta[name][0] - eta_exact[g.sweep_value]) / g.eta[name][1]
+        for name, eta_exact in (("fixed:0.6", eta_06), ("fixed:0.8", eta_08))
         for g in gains
     )
     mc_ok = z_max <= 3.0
@@ -285,11 +283,9 @@ def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep):
 
 def test_criterion_7_gain_trends_vs_lambda_h(lambda_h_sweep):
     gains = gains_from_sweep(lambda_h_sweep)
-    full_ok = _adjacent_trend_ok([g.eta_full for g in gains],
-                                 [g.eta_full_se for g in gains], +1)
-    par_ok = _adjacent_trend_ok([g.eta_par for g in gains],
-                                [g.eta_par_se for g in gains], +1)
-    gap = max(abs(g.eta_full - g.eta_par) for g in gains)
+    full_ok = _adjacent_trend_ok([g.eta["full_csi"] for g in gains], +1)
+    par_ok = _adjacent_trend_ok([g.eta["partial_csi"] for g in gains], +1)
+    gap = max(abs(g.eta["full_csi"][0] - g.eta["partial_csi"][0]) for g in gains)
     check(
         "criterion 7: gain trends vs lambda_h (n=1e6/point)",
         full_ok and par_ok and gap <= 0.3,

@@ -54,10 +54,12 @@ NO_FIXED_08 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6"]
     ("gains", {"sweep": LAMBDA_G_SWEEP, "policies": NO_FIXED_08}),
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "policies": NO_FIXED_08, "gains_out": "GAINS"}),
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "no-such-dir/gains.csv"}),
+    ("point", {"p_s_dbm": 4000}),
+    ("sweep", {"sweep": {"variable": "p_s_dbm", "values": [30.0, 4000.0]}}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
-    "gains_out-incomplete", "gains_out-missing-dir",
+    "gains_out-incomplete", "gains_out-missing-dir", "p_s_dbm-overflow", "p_s_dbm-overflow-sweep",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     def no_compute(*args, **kwargs):
@@ -178,6 +180,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
-    def test_fault_injection_fails(self, capsys):
-        assert main(["verify", "--quick", "--inject-fault"]) == EXIT_VERIFY
-        assert "[FAIL]" in capsys.readouterr().out
+    def test_fault_injection_fails(self, monkeypatch, capsys):
+        # a full-CSI rule 0.05 off the optimum must fail its battery
+        optimum = cli.verify_mod.full_csi_rho
+
+        def off_optimum(params, h_sq, g_sq):
+            return min(optimum(params, h_sq, g_sq) + 0.05, 0.999999)
+
+        monkeypatch.setattr(cli.verify_mod, "full_csi_rho", off_optimum)
+        assert main(["verify", "--quick"]) == EXIT_VERIFY
+        assert "[FAIL] full_csi_vs_grid" in capsys.readouterr().out

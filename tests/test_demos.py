@@ -1,5 +1,9 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script runs to completion against the package in src/, and the
+CLI sweep of the benchmark config reproduces its recorded CSV bytes."""
+import hashlib
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,16 +14,35 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def package_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_three_demos_found():
     assert len(DEMOS) == 3
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env,
+        [sys.executable, str(script)], cwd=ROOT, env=package_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_csv_bytes_match_recorded_digests(tmp_path):
+    # The config names its outputs by relative paths, so the run writes into tmp_path.
+    shutil.copyfile(ROOT / "perfbench" / "sweep_config.json", tmp_path / "config.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "swipt_relay.cli", "sweep", "--config", "config.json",
+         "--seed", "12345", "--workers", "1"],
+        cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["sweep_cli"]
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected
+    } == expected

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swipt_relay.channel import make_rng, sample_gains
 from swipt_relay.link import (
@@ -84,6 +85,19 @@ class TestSnr:
         # smaller epsilon means less relay power, so SNR can only drop
         low = dataclasses.replace(ref_params, epsilon=0.5)
         assert float(snr(low, 1.5, 1.5, 0.5)) < float(snr(ref_params, 1.5, 1.5, 0.5))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(p_s_dbm=st.floats(20.0, 55.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),
+           epsilon=st.floats(0.1, 1.0), h_sq=st.floats(0.01, 10.0), g_sq=st.floats(0.01, 10.0),
+           rho=st.floats(1e-6, 1.0 - 1e-6))
+    def test_epsilon_only_divides_destination_noise(self, p_s_dbm, noise_dbm, epsilon,
+                                                    h_sq, g_sq, rho):
+        sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
+        p = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
+                         sigma_d_sq=sd, rate=3.0, epsilon=epsilon)
+        folded = dataclasses.replace(p, sigma_d_sq=sd / epsilon, epsilon=1.0)
+        assert float(snr(p, h_sq, g_sq, rho)) == pytest.approx(
+            float(snr(folded, h_sq, g_sq, rho)), rel=1e-12)
 
 
 class TestSnrBetaIdentity:

@@ -95,10 +95,6 @@ class TestValidate:
         with pytest.raises(ConfigError, match="rate_bps_hz"):
             validate(cfg)
 
-    def test_idempotent(self):
-        p = validate(REF_CONFIG)
-        assert validate(p) is p
-
     def test_gamma_0_always_consistent_with_rate(self):
         p = validate(dict(REF_CONFIG, rate_bps_hz=2.0))
         assert p.gamma_0 == 2.0 ** 2 - 1

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swipt_relay import sim
 from swipt_relay.channel import FadingParams, make_rng, sample_channels
 from swipt_relay.link import h_threshold, snr
-from swipt_relay.params import dbm_to_linear
+from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import Fixed, FullCSI, PartialCSI, full_csi_rho, partial_csi_rho
 from swipt_relay.sim import (
     SweepSpec,
@@ -103,6 +104,20 @@ class TestOutageMc:
         full = snr(params, h, g, full_csi_rho(params, h, g)) < GAMMA_0
         partial = snr(params, h, g, partial_csi_rho(params, h, GAMMA_0)) < GAMMA_0
         assert np.any(full)
+        assert np.count_nonzero(full != partial) == 0
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(p_s_dbm=st.floats(20.0, 55.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),
+           epsilon=st.floats(0.1, 1.0), lambda_h=st.floats(0.1, 10.0),
+           lambda_g=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_full_and_partial_csi_fail_on_the_same_draws_anywhere(
+            self, p_s_dbm, noise_dbm, epsilon, lambda_h, lambda_g, seed):
+        sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
+        params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
+                              sigma_d_sq=sd, rate=3.0, epsilon=epsilon)
+        h, g = sample_channels(make_rng(seed), FadingParams(lambda_h, lambda_g), 4096)
+        full = snr(params, h, g, full_csi_rho(params, h, g)) < GAMMA_0
+        partial = snr(params, h, g, partial_csi_rho(params, h, GAMMA_0)) < GAMMA_0
         assert np.count_nonzero(full != partial) == 0
 
 
@@ -236,5 +251,5 @@ class TestRunSweep:
         gains = gains_from_sweep(run_sweep(spec))
         assert [g.sweep_value for g in gains] == [1.0, 2.0]
         for g in gains:
-            for v in (g.eta_full, g.eta_par, g.eta_06, g.eta_08):
-                assert math.isfinite(v)
+            for eta, _ in g.eta.values():
+                assert math.isfinite(eta)
