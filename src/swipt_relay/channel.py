@@ -56,7 +56,12 @@ def substream(parent_seed: int, *indices: int) -> np.random.Generator:
 def sample_gains(rng: np.random.Generator, lam: float, n: int) -> np.ndarray:
     """Draw n exponential power gains with mean lam by inverse CDF."""
     u = rng.random(n)  # in [0, 1); 1-u is in (0, 1], so log never sees 0
-    return -lam * np.log1p(-u)
+    # -lam * log1p(-u), computed in u's own buffer: the same operations, so the
+    # same bits, with no temporary arrays.
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -lam
+    return u
 
 
 def sample_channels(rng, fading: FadingParams, n: int):

@@ -91,6 +91,12 @@ class TestExponentialSampling:
         corr = np.corrcoef(h_sq, g_sq)[0, 1]
         assert abs(corr) < 0.01
 
+    @pytest.mark.parametrize("n", [1, 8, 1001, 1024, 4093, 1 << 16])
+    def test_in_place_draws_equal_the_literal_formula(self, n):
+        lam = 1.7
+        u = substream(5, 2, 1).random(n)
+        assert np.array_equal(sample_gains(substream(5, 2, 1), lam, n), -lam * np.log1p(-u))
+
     def test_bit_identical_reproducibility(self):
         fading = FadingParams(lambda_h=1.5, lambda_g=1.5)
         a = sample_channels(make_rng(9), fading, 1000)

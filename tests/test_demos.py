@@ -33,12 +33,13 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sweep_csv_bytes_match_recorded_digests(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_csv_bytes_match_recorded_digests(tmp_path, workers):
     # The config names its outputs by relative paths, so the run writes into tmp_path.
     shutil.copyfile(ROOT / "perfbench" / "sweep_config.json", tmp_path / "config.json")
     proc = subprocess.run(
         [sys.executable, "-m", "swipt_relay.cli", "sweep", "--config", "config.json",
-         "--seed", "12345", "--workers", "1"],
+         "--seed", "12345", "--workers", str(workers)],
         cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

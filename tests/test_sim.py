@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swipt_relay import sim
-from swipt_relay.channel import FadingParams, make_rng, sample_channels
+from swipt_relay.channel import FadingParams, make_rng, sample_channels, substream
 from swipt_relay.link import h_threshold, snr
 from swipt_relay.params import SystemParams, dbm_to_linear
-from swipt_relay.policy import Fixed, FullCSI, PartialCSI, full_csi_rho, partial_csi_rho
+from swipt_relay.policy import (
+    Fixed,
+    FullCSI,
+    PartialCSI,
+    decide_rho,
+    full_csi_rho,
+    partial_csi_rho,
+)
 from swipt_relay.sim import (
     SweepSpec,
     gain_eta,
@@ -119,6 +126,47 @@ class TestOutageMc:
         full = snr(params, h, g, full_csi_rho(params, h, g)) < GAMMA_0
         partial = snr(params, h, g, partial_csi_rho(params, h, GAMMA_0)) < GAMMA_0
         assert np.count_nonzero(full != partial) == 0
+
+
+def _reference_mc_batch(params, fading, policies, gamma_0, seed, key, batch_idx, size):
+    """The Monte Carlo batch written plainly: full-batch arrays and snr()."""
+    h, g = sample_channels(substream(seed, *key, batch_idx), fading, size)
+    stats = []
+    for pol in policies:
+        rho = decide_rho(pol, params, h, g, gamma_0)
+        transmitting = rho < 1.0
+        stats.append((
+            int(np.count_nonzero(snr(params, h, g, rho) < gamma_0)),
+            float(np.sum(np.where(transmitting, rho, 0.0))),
+            int(np.count_nonzero(transmitting)),
+        ))
+    return stats
+
+
+class TestMcKernel:
+    POLICIES = (FullCSI(), PartialCSI(), Fixed(0.4), Fixed(0.6), Fixed(0.8))
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(p_s_dbm=st.floats(20.0, 55.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),
+           epsilon=st.floats(0.1, 1.0), lambda_h=st.floats(0.1, 10.0),
+           lambda_g=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_batch_snr_reference(
+            self, p_s_dbm, noise_dbm, epsilon, lambda_h, lambda_g, seed):
+        sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
+        params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
+                              sigma_d_sq=sd, rate=3.0, epsilon=epsilon)
+        # two full chunks and a partial one
+        args = (params, FadingParams(lambda_h, lambda_g), self.POLICIES, GAMMA_0,
+                seed, (3,), 1, 2 * sim.CHUNK + 1001)
+        assert sim._mc_batch(args) == _reference_mc_batch(*args)
+
+    @pytest.mark.parametrize("chunk", [1000, 1 << 10, sim.BATCH_SIZE])
+    def test_estimates_do_not_depend_on_chunk_size(self, monkeypatch, ref_params,
+                                                   ref_fading, chunk):
+        n = sim.BATCH_SIZE + 12345  # a full batch and a short one
+        expected = outage_point(ref_params, ref_fading, self.POLICIES, GAMMA_0, n, 14)
+        monkeypatch.setattr(sim, "CHUNK", chunk)
+        assert outage_point(ref_params, ref_fading, self.POLICIES, GAMMA_0, n, 14) == expected
 
 
 class TestSemiAnalytic:
