@@ -1,6 +1,6 @@
 """Power-splitting SWIPT amplify-and-forward relay: link math, policies, simulation."""
 
-from .params import SystemParams, dbm_to_linear, linear_to_dbm, snr_threshold, validate
+from .params import SystemParams, dbm_to_linear, snr_threshold, validate
 from .channel import FadingParams, make_rng, substream
 from .link import (
     conditional_outage,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,6 +23,9 @@ from .sim import GAIN_BASELINE, GAIN_POLICIES, SweepSpec, gains_from_sweep, outa
 from . import verify as verify_mod
 
 DEFAULT_SEED = 12345
+
+# Largest n: above 2^53 a float p_out no longer gives back the event count p_out*n.
+MAX_N = 2 ** 53
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,9 +71,10 @@ def _policies_from(cfg):
         raise ConfigError(str(e)) from e
 
 
-def _int_from(cfg, args, key, minimum, default=None):
-    """A flag, else a config value, else the default: an integer >= minimum.
-    JSON writes 1e6 as a float, so integral floats count; bools do not."""
+def _int_from(cfg, args, key, minimum, default=None, maximum=math.inf):
+    """A flag, else a config value, else the default: an integer in
+    [minimum, maximum]. JSON writes 1e6 as a float, so integral floats count;
+    bools do not."""
     v = getattr(args, key, None)
     if v is None:
         v = cfg.get(key, default)
@@ -77,8 +82,8 @@ def _int_from(cfg, args, key, minimum, default=None):
         raise ConfigError(f"missing {key}")
     if isinstance(v, float) and v.is_integer():
         v = int(v)
-    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, int) or not minimum <= v <= maximum:
+        raise ConfigError(f"{key} must be an integer in [{minimum}, {maximum}], got {v!r}")
     return v
 
 
@@ -150,7 +155,7 @@ def _sweep_spec(cfg, args):
             params=validate(cfg),
             fading=_fading_from(cfg),
             policies=_policies_from(cfg),
-            n=_int_from(cfg, args, "n", 1),
+            n=_int_from(cfg, args, "n", 1, maximum=MAX_N),
             seed=_int_from(cfg, args, "seed", 0, DEFAULT_SEED),
         )
     except ValueError as e:
@@ -161,6 +166,8 @@ def _parse(args):
     """Check the whole config before any compute starts; every mistake is a
     ConfigError. Returns (cfg, spec, out, gains_out), where out is the
     estimates table and gains_out the gains table; either may be None."""
+    if args.workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {args.workers}")
     cfg = _load_config(args.config)
     spec = _sweep_spec(cfg, args)
     out = _out_path(args.out or cfg.get("out"))
@@ -243,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (overrides config; default {DEFAULT_SEED})")
         p.add_argument("--n", type=int, default=None,
-                       help="realizations per point (overrides config)")
+                       help="realizations per point, 1 to 2^53 (overrides config)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers; results do not depend on this")
+                       help="parallel workers, >= 1; results do not depend on this")
 
     p_point = sub.add_parser("point", help="outage at one operating point per policy")
     common(p_point)
@@ -275,7 +282,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - boundary: map anything else to exit 3
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

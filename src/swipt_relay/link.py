@@ -11,6 +11,17 @@ sigma_d^2. It appears literally only in harvested_power; every other function
 uses the effective destination noise params.sigma_d_eff = sigma_d^2/eps, and
 snr_via_beta, which goes through harvested_power, checks that fold.
 
+Outage and both dynamic policies are written in two |h|^2 terms, returned
+by margin_terms (sr^2, sp^2 the relay's antenna and processing noise, sd^2
+the effective destination noise):
+
+    a = P_s h^2 - gamma_0 sr^2,        q = sp^2 / (P_s h^2 + sr^2).
+
+In them the outage event gamma(rho) < gamma_0 is |g|^2 F(rho) < gamma_0 sigma_0^2(rho)
+(both sides times the SNR's positive denominator), with
+
+    F(rho) = rho*((1 - rho)*a - gamma_0 sp^2),    sigma_0^2(rho) = sd^2*(1 - rho + q).
+
 Two algebraically equivalent SNR forms are kept on purpose. snr() is the
 polynomial-denominator form, finite on all of [0, 1]; snr_via_beta() goes
 literally through the AF normalization factor beta and the relay transmit
@@ -19,50 +30,25 @@ independent cross-check of snr().
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "DegenerateChannelError",
-    "FullCsiCoefficients",
-    "PartialCsiCoefficients",
     "harvested_power",
     "snr",
     "snr_via_beta",
+    "margin_terms",
     "f_of_rho",
     "sigma0_sq",
     "rho_max",
     "h_threshold",
     "w_ratio",
     "conditional_outage",
-    "full_csi_coefficients",
-    "partial_csi_coefficients",
 ]
 
 
 class DegenerateChannelError(ValueError):
     """P_s*|h|^2 coincides exactly with gamma_0*sigma_r^2; feasible set is empty."""
-
-
-@dataclass(frozen=True)
-class FullCsiCoefficients:
-    """Quadratic coefficients of the SNR-derivative numerator a1*rho^2 + b1*rho + c1.
-
-    b1 = -2*c1 always, so the discriminant reduces to 4*c1*(c1 - a1) with
-    c1 - a1 > 0 for positive parameters; the optimum is a real interior root.
-    """
-    a1: float | np.ndarray
-    b1: float | np.ndarray
-    c1: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class PartialCsiCoefficients:
-    """Coefficients of dW/drho = a2 - c2/(rho - b2)^2 for the partial-CSI objective."""
-    a2: float | np.ndarray
-    b2: float | np.ndarray
-    c2: float | np.ndarray
 
 
 def harvested_power(params, h_sq, rho):
@@ -112,42 +98,38 @@ def snr_via_beta(params, h_sq, g_sq, rho):
     return params.p_s * h_sq * g_sq / den
 
 
-def f_of_rho(params, h_sq, gamma_0, rho):
-    """F(rho) = P_s h^2 rho(1-rho) - gamma_0*(-rho^2 sr^2 + rho sr^2 + rho sp^2).
+def margin_terms(params, h_sq, gamma_0):
+    """The terms (a, q) of the module docstring at |h|^2 = h_sq. q does not
+    depend on gamma_0, so a caller that needs only q may pass 0."""
+    ps_h = params.p_s * h_sq
+    return ps_h - gamma_0 * params.sigma_r_sq, params.sigma_p_sq / (ps_h + params.sigma_r_sq)
 
-    The g-independent numerator margin of the outage condition: the feasible
-    set is exactly {rho in (0,1) : F(rho) > 0}.
-    """
+
+def f_of_rho(params, h_sq, gamma_0, rho):
+    """F(rho), the g-independent numerator margin of the outage condition:
+    the feasible set is exactly {rho in (0,1) : F(rho) > 0}."""
+    a, _ = margin_terms(params, h_sq, gamma_0)
     rho = np.asarray(rho, dtype=float)
-    return params.p_s * h_sq * rho * (1.0 - rho) - gamma_0 * (
-        -(rho ** 2) * params.sigma_r_sq + rho * params.sigma_r_sq + rho * params.sigma_p_sq
-    )
+    return rho * ((1.0 - rho) * a - gamma_0 * params.sigma_p_sq)
 
 
 def sigma0_sq(params, h_sq, rho):
-    """Effective noise sigma_0^2(rho) = sd^2*(1-rho) + sp^2*sd^2/(P_s h^2 + sr^2).
-
-    Here sd^2 is the effective noise sigma_d^2/eps. Strictly positive on
-    (0, 1] and affine decreasing in rho.
-    """
-    rho = np.asarray(rho, dtype=float)
-    ps_h = params.p_s * h_sq + params.sigma_r_sq
-    sd = params.sigma_d_eff
-    return sd * (1.0 - rho) + params.sigma_p_sq * sd / ps_h
+    """Effective noise sigma_0^2(rho); strictly positive on (0, 1] and affine
+    decreasing in rho."""
+    _, q = margin_terms(params, h_sq, 0.0)
+    return params.sigma_d_eff * (1.0 - np.asarray(rho, dtype=float) + q)
 
 
 def rho_max(params, h_sq, gamma_0):
-    """Upper boundary of the feasible set: root of F(rho) = 0 above zero.
-
-    Returns (P_s h^2 - sr^2 g0 - sp^2 g0) / (P_s h^2 - sr^2 g0). A value
-    <= 0 means the feasible set is empty. An exactly zero denominator is a
-    degenerate channel and raises; callers treat it as infeasible.
+    """Upper boundary of the feasible set, the root of F(rho) = 0 above zero:
+    (a - gamma_0 sp^2)/a. A value <= 0 means the feasible set is empty. An
+    exactly zero a is a degenerate channel and raises; callers treat it as
+    infeasible.
     """
-    num = params.p_s * h_sq - params.sigma_r_sq * gamma_0 - params.sigma_p_sq * gamma_0
-    den = params.p_s * h_sq - params.sigma_r_sq * gamma_0
-    if np.any(np.asarray(den) == 0.0):
+    a, _ = margin_terms(params, h_sq, gamma_0)
+    if np.any(np.asarray(a) == 0.0):
         raise DegenerateChannelError("P_s*|h|^2 == gamma_0*sigma_r^2")
-    return num / den
+    return (a - gamma_0 * params.sigma_p_sq) / a
 
 
 def h_threshold(params, gamma_0):
@@ -178,29 +160,3 @@ def conditional_outage(params, h_sq, rho, lambda_g, gamma_0):
     p = -np.expm1(-gamma_0 * s0 / (safe_f * lambda_g))
     out = np.where(feasible, p, 1.0)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def full_csi_coefficients(params, h_sq, g_sq) -> FullCsiCoefficients:
-    """Coefficients of the full-CSI stationarity quadratic.
-
-    a1 = sd^2 - g^2 sp^2; c1 = sd^2 + sp^2 sd^2/(P_s h^2 + sr^2); b1 = -2*c1,
-    with sd^2 the effective noise sigma_d^2/eps.
-    """
-    ps_h = params.p_s * h_sq + params.sigma_r_sq
-    sd = params.sigma_d_eff
-    c1 = sd * (1.0 + params.sigma_p_sq / ps_h)
-    a1 = sd - g_sq * params.sigma_p_sq
-    return FullCsiCoefficients(a1=a1, b1=-2.0 * c1, c1=c1)
-
-
-def partial_csi_coefficients(params, h_sq, gamma_0) -> PartialCsiCoefficients:
-    """Coefficients of the partial-CSI derivative a2 - c2/(rho - b2)^2.
-
-    a2 and c2 are positive whenever P_s*|h|^2 > gamma_0*sigma_r^2; b2 > 1 always.
-    """
-    ps_h = params.p_s * h_sq + params.sigma_r_sq
-    sd = params.sigma_d_eff
-    a2 = (params.p_s * h_sq - gamma_0 * params.sigma_r_sq) / sd
-    b2 = 1.0 + params.sigma_p_sq / ps_h
-    c2 = b2 * (a2 * params.sigma_p_sq / ps_h + gamma_0 * params.sigma_p_sq / sd)
-    return PartialCsiCoefficients(a2=a2, b2=b2, c2=c2)

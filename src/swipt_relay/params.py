@@ -22,13 +22,6 @@ def dbm_to_linear(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0)
 
 
-def linear_to_dbm(x: float) -> float:
-    """Convert linear milliwatts to dBm. Requires x > 0."""
-    if not (x > 0 and math.isfinite(x)):
-        raise ConfigError(f"dBm undefined for non-positive power: {x!r}")
-    return 10.0 * math.log10(x)
-
-
 def snr_threshold(rate: float) -> float:
     """Outage SNR threshold gamma_0 = 2^R - 1 for a fixed rate R (bits/sec/Hz)."""
     if not rate > 0:

@@ -23,14 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .link import (
-    full_csi_coefficients,
-    h_threshold,
-    partial_csi_coefficients,
-    rho_max,
-    snr,
-    w_ratio,
-)
+from .link import h_threshold, margin_terms, rho_max, snr, w_ratio
 
 __all__ = [
     "Fixed",
@@ -97,26 +90,27 @@ def policy_name(policy: Policy) -> str:
 def full_csi_rho(params, h_sq, g_sq):
     """SNR-maximizing rho, closed form. Broadcasts over arrays.
 
-    The stationarity quadratic a1*rho^2 - 2*c1*rho + c1 = 0 is solved in the
-    rationalized form rho* = c1 / (c1 + sqrt(c1*(c1 - a1))), which is the
-    in-(0,1) root for any sign of a1 and stays exact through a1 -> 0 (where
-    the two-branch textbook form needs a special case and loses digits).
+    The stationarity quadratic a1*rho^2 - 2*c1*rho + c1 = 0 has
+    c1 = sd^2*(1 + q) and c1 - a1 = sd^2*q + g^2*sp^2 > 0 (link's margin terms).
+    It is solved in the rationalized form rho* = c1 / (c1 + sqrt(c1*(c1 - a1))),
+    which is the in-(0,1) root for any sign of a1 and stays exact through
+    a1 -> 0 (where the two-branch textbook form needs a special case and
+    loses digits).
     """
-    co = full_csi_coefficients(params, h_sq, g_sq)
-    return co.c1 / (co.c1 + np.sqrt(co.c1 * (co.c1 - co.a1)))
+    _, q = margin_terms(params, h_sq, 0.0)
+    c1 = params.sigma_d_eff * (1.0 + q)
+    return c1 / (c1 + np.sqrt(c1 * (params.sigma_d_eff * q + g_sq * params.sigma_p_sq)))
 
 
 def partial_csi_rho(params, h_sq, gamma_0):
-    """Outage-minimizing rho given |h|^2 only: rho = b2 - sqrt(c2/a2), or 1
-    (harvest only) at or below the feasibility threshold H0. Broadcasts."""
+    """Outage-minimizing rho given |h|^2 only, the maximizer of
+    F(rho)/sigma_0^2(rho): rho = (1 + q) - sqrt((1 + q)*(q + gamma_0 sp^2/a)),
+    or 1 (harvest only) at or below the feasibility threshold H0. Broadcasts."""
     h_sq = np.asarray(h_sq, dtype=float)
-    h0 = h_threshold(params, gamma_0)
-    co = partial_csi_coefficients(params, h_sq, gamma_0)
-    feasible = h_sq > h0
-    # a2 > 0 whenever feasible; mask the rest before the sqrt
-    a2 = np.where(feasible, co.a2, 1.0)
-    c2 = np.where(feasible, co.c2, 0.0)
-    rho = co.b2 - np.sqrt(c2 / a2)
+    a, q = margin_terms(params, h_sq, gamma_0)
+    feasible = h_sq > h_threshold(params, gamma_0)
+    a = np.where(feasible, a, 1.0)  # a > 0 whenever feasible; mask the rest
+    rho = (1.0 + q) - np.sqrt((1.0 + q) * (q + gamma_0 * params.sigma_p_sq / a))
     return np.where(feasible, rho, 1.0)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FadingParams, sample_channels, sample_gains, substream
-from .link import conditional_outage
+from .link import conditional_outage, margin_terms
 from .params import SystemParams, dbm_to_linear
 from .policy import Fixed, FullCSI, Policy, decide_rho, policy_name
 
@@ -128,9 +128,8 @@ def _mc_batch(args):
     # Per slice, F(rho) = rho*((1 - rho)*a - k_p) and gamma_0 sigma_0^2(rho) = k_d*(1 - rho) + c.
     for lo in range(0, size, CHUNK):
         h, g = h_sq[lo:lo + CHUNK], g_sq[lo:lo + CHUNK]
-        a = params.p_s * h
-        c = k_d * params.sigma_p_sq / (a + params.sigma_r_sq)
-        a -= gamma_0 * params.sigma_r_sq
+        a, q = margin_terms(params, h, gamma_0)
+        c = k_d * q
         for j, pol in enumerate(policies):
             if tx_rho[j] is None:
                 rho = pol.rho0
@@ -171,17 +170,17 @@ def _map_batches(fn, head, n, seed, key, workers):
     arguments head + (seed, key, b, size) and draws from substream(seed, *key, b)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    full, rem = divmod(n, BATCH_SIZE)
-    sizes = [BATCH_SIZE] * full + ([rem] if rem else [])
-    arg_list = [head + (seed, tuple(key), b, size) for b, size in enumerate(sizes)]
+    count = -(-n // BATCH_SIZE)
+    key = tuple(key)
+    args = (head + (seed, key, b, min(BATCH_SIZE, n - b * BATCH_SIZE)) for b in range(count))
     # More workers than cores or batches would only add start-up cost.
-    workers = min(workers, os.cpu_count() or 1, len(arg_list))
+    workers = min(workers, os.cpu_count() or 1, count)
     if workers <= 1:
-        return [fn(a) for a in arg_list]
+        return [fn(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         # ex.map preserves submission order, so the merge below is
         # independent of scheduling.
-        return list(ex.map(fn, arg_list, chunksize=1))
+        return list(ex.map(fn, args, chunksize=1))
 
 
 def _estimate(p, std_err, n, rho_sum, n_tx) -> OutageEstimate:

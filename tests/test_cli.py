@@ -6,6 +6,7 @@ from swipt_relay import cli
 from swipt_relay.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VERIFY,
     main,
 )
@@ -56,23 +57,42 @@ NO_FIXED_08 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6"]
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "no-such-dir/gains.csv"}),
     ("point", {"p_s_dbm": 4000}),
     ("sweep", {"sweep": {"variable": "p_s_dbm", "values": [30.0, 4000.0]}}),
+    ("point", {"argv": ["--workers", "0"]}),
+    ("sweep", {"sweep": LAMBDA_G_SWEEP, "argv": ["--workers", "-3"]}),
+    ("point", {"argv": ["--n", "99999999999999999999"]}),
+    ("point", {"argv": ["--n", str(2**53 + 1)]}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
     "gains_out-incomplete", "gains_out-missing-dir", "p_s_dbm-overflow", "p_s_dbm-overflow-sweep",
+    "workers-zero", "workers-negative", "n-huge", "n-above-2^53",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
+    # compute is patched to fail, so even the huge n cases allocate nothing
     def no_compute(*args, **kwargs):
         pytest.fail("compute started on a bad config")
 
     monkeypatch.setattr(cli, "outage_point", no_compute)
     monkeypatch.setattr(cli, "run_sweep", no_compute)
+    overrides = dict(overrides)
+    flags = overrides.pop("argv", [])
     if overrides.get("gains_out"):
-        overrides = dict(overrides, gains_out=str(tmp_path / overrides["gains_out"]))
+        overrides["gains_out"] = str(tmp_path / overrides["gains_out"])
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "out.csv"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == EXIT_CONFIG
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+def test_runtime_error_names_its_type(tmp_path, monkeypatch, capsys):
+    # an exception without a message must not print a bare "error: "
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "outage_point", out_of_memory)
+    cfg = write_config(tmp_path)
+    assert main(["point", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: MemoryError: \n"
 
 
 class TestPoint:

@@ -10,9 +10,9 @@ from swipt_relay.link import (
     DegenerateChannelError,
     conditional_outage,
     f_of_rho,
-    full_csi_coefficients,
     h_threshold,
     harvested_power,
+    margin_terms,
     rho_max,
     sigma0_sq,
     snr,
@@ -301,20 +301,28 @@ class TestConditionalOutage:
 
 
 class TestCoefficientIdentities:
-    def test_discriminant_identity(self):
-        rng = make_rng(17)
-        for _ in range(500):
-            p = random_params(rng)
-            co = full_csi_coefficients(p, float(random_gain(rng)), float(random_gain(rng)))
-            lhs = co.b1 ** 2 - 4 * co.a1 * co.c1
-            rhs = 4 * co.c1 * (co.c1 - co.a1)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+    def test_reference_coefficients(self):
+        # the margin terms at P_s = 1e4 mW, noise 0.01 mW, |h|^2 = 1.5 by direct arithmetic
+        p = SystemParams(p_s=10000.0, sigma_r_sq=0.01, sigma_p_sq=0.01,
+                         sigma_d_sq=0.02, rate=3.0)
+        a, q = margin_terms(p, 1.5, GAMMA_0)
+        assert a == pytest.approx(15000 - 0.07, rel=1e-15)
+        assert q == pytest.approx(0.01 / 15000.01, rel=1e-15)
 
-    def test_b1_is_minus_two_c1(self, ref_params):
-        co = full_csi_coefficients(ref_params, 1.5, 1.5)
-        assert co.b1 == -2.0 * co.c1
-
-    def test_reference_coefficients(self, ref_params):
-        co = full_csi_coefficients(ref_params, 1.5, 1.5)
-        assert co.a1 == pytest.approx(4.953e-3, rel=1e-3)
-        assert co.c1 == pytest.approx(1.9953e-2, rel=1e-3)
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(p_s_dbm=st.floats(20.0, 55.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),
+           epsilon=st.floats(0.1, 1.0), h_sq=st.floats(0.01, 10.0), rho=st.floats(0.0, 1.0))
+    def test_margin_forms_equal_the_polynomial_forms(self, p_s_dbm, noise_dbm, epsilon,
+                                                     h_sq, rho):
+        # F and sigma_0^2 as the paper writes them, each checked to 1e-12 of
+        # the size of its terms, since F cancels to zero at rho_max
+        sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
+        p = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
+                         sigma_d_sq=sd, rate=3.0, epsilon=epsilon)
+        sd_eff = sd / epsilon
+        signal = p.p_s * h_sq * rho * (1 - rho)
+        noise = GAMMA_0 * (rho ** 2 * sr + rho * sr + rho * sp)
+        f_ref = signal - GAMMA_0 * (-(rho ** 2) * sr + rho * sr + rho * sp)
+        assert abs(float(f_of_rho(p, h_sq, GAMMA_0, rho)) - f_ref) <= 1e-12 * (signal + noise)
+        s0_ref = sd_eff * (1 - rho) + sp * sd_eff / (p.p_s * h_sq + sr)
+        assert float(sigma0_sq(p, h_sq, rho)) == pytest.approx(s0_ref, rel=1e-12)

@@ -5,7 +5,6 @@ import pytest
 
 from swipt_relay.channel import make_rng
 from swipt_relay.link import (
-    full_csi_coefficients,
     h_threshold,
     rho_max,
     snr,
@@ -35,6 +34,14 @@ FULL_RHO_REF = 0.5356034165509731
 PART_RHO_REF = 0.9976912602008429
 
 
+def textbook_coefficients(params, h_sq, g_sq):
+    """(a1, b1, c1) of the full-CSI stationarity quadratic a1 rho^2 + b1 rho + c1 = 0,
+    the numerator of dSNR/drho, as written out from snr()'s denominator."""
+    sd = params.sigma_d_eff
+    c1 = sd * (1.0 + params.sigma_p_sq / (params.p_s * h_sq + params.sigma_r_sq))
+    return sd - g_sq * params.sigma_p_sq, -2.0 * c1, c1
+
+
 class TestFullCsiClosedForm:
     def test_half_when_a1_zero(self, ref_params):
         # a1 = sd^2 - g_sq*sp^2 == 0 at this g_sq
@@ -60,17 +67,17 @@ class TestFullCsiClosedForm:
         # textbook form (-b1 - sqrt(b1^2-4a1c1)) / (2a1), valid for a1 != 0
         rng = make_rng(22)
         for params, h_sq, g_sq in random_instances(rng, 500):
-            co = full_csi_coefficients(params, h_sq, g_sq)
-            if abs(co.a1) <= 1e-6 * co.c1:
+            a1, b1, c1 = textbook_coefficients(params, h_sq, g_sq)
+            if abs(a1) <= 1e-6 * c1:
                 continue
-            branch = (-co.b1 - math.sqrt(co.b1 ** 2 - 4 * co.a1 * co.c1)) / (2 * co.a1)
+            branch = (-b1 - math.sqrt(b1 ** 2 - 4 * a1 * c1)) / (2 * a1)
             stable = float(full_csi_rho(params, h_sq, g_sq))
             assert stable == pytest.approx(branch, rel=1e-12)
 
     def test_continuity_at_a1_zero(self, ref_params):
         # pick g_sq so that a1 = 1e-12 * c1: rho* must sit at 0.5
-        co0 = full_csi_coefficients(ref_params, 1.5, 1.0)
-        g_sq = (ref_params.sigma_d_sq - 1e-12 * co0.c1) / ref_params.sigma_p_sq
+        _, _, c1 = textbook_coefficients(ref_params, 1.5, 1.0)
+        g_sq = (ref_params.sigma_d_sq - 1e-12 * c1) / ref_params.sigma_p_sq
         rho = float(full_csi_rho(ref_params, 1.5, g_sq))
         assert rho == pytest.approx(0.5, abs=1e-9)
 
