@@ -7,7 +7,7 @@ side by side. The two should agree to within the grid resolution.
 
 Run:  python3 demos/policy_optima.py
 """
-from swipt_relay.channel import FadingParams, make_rng, sample_channels
+from swipt_relay.channel import FadingParams, sample_channels, substream
 from swipt_relay.link import snr
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import (
@@ -25,7 +25,7 @@ params = SystemParams(
     rate=3.0,
 )
 gamma_0 = params.gamma_0
-rng = make_rng(2024)
+rng = substream(2024)
 h_sqs, g_sqs = sample_channels(rng, FadingParams(lambda_h=1.5, lambda_g=1.5), 6)
 
 STEP = 1e-5

@@ -1,13 +1,12 @@
 """Power-splitting SWIPT amplify-and-forward relay: link math, policies, simulation."""
 
-from .params import SystemParams, dbm_to_linear, snr_threshold, validate
-from .channel import FadingParams, make_rng, substream
+from .params import SystemParams, dbm_to_linear, validate
+from .channel import FadingParams, substream
 from .link import (
     conditional_outage,
     f_of_rho,
     h_threshold,
     harvested_power,
-    rho_max,
     sigma0_sq,
     snr,
     snr_via_beta,

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "FadingParams",
-    "make_rng",
     "substream",
     "sample_gains",
     "sample_channels",
@@ -36,11 +35,6 @@ class FadingParams:
             raise ValueError(f"lambda_h must be positive, got {self.lambda_h!r}")
         if not self.lambda_g > 0:
             raise ValueError(f"lambda_g must be positive, got {self.lambda_g!r}")
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 stream for a 64-bit seed (seed 0 is fine)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def substream(parent_seed: int, *indices: int) -> np.random.Generator:

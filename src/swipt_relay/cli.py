@@ -54,21 +54,15 @@ def _load_config(path):
 
 
 def _fading_from(cfg) -> FadingParams:
-    try:
-        return FadingParams(lambda_h=require_number(cfg.get("lambda_h"), "lambda_h"),
-                            lambda_g=require_number(cfg.get("lambda_g"), "lambda_g"))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return FadingParams(lambda_h=require_number(cfg.get("lambda_h"), "lambda_h"),
+                        lambda_g=require_number(cfg.get("lambda_g"), "lambda_g"))
 
 
 def _policies_from(cfg):
     names = cfg.get("policies")
     if not isinstance(names, list) or not names:
         raise ConfigError('missing "policies" list')
-    try:
-        return tuple(parse_policy(str(n)) for n in names)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return tuple(parse_policy(str(n)) for n in names)
 
 
 def _int_from(cfg, args, key, minimum, default=None, maximum=math.inf):

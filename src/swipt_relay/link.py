@@ -33,22 +33,16 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "DegenerateChannelError",
     "harvested_power",
     "snr",
     "snr_via_beta",
     "margin_terms",
     "f_of_rho",
     "sigma0_sq",
-    "rho_max",
     "h_threshold",
     "w_ratio",
     "conditional_outage",
 ]
-
-
-class DegenerateChannelError(ValueError):
-    """P_s*|h|^2 coincides exactly with gamma_0*sigma_r^2; feasible set is empty."""
 
 
 def harvested_power(params, h_sq, rho):
@@ -118,18 +112,6 @@ def sigma0_sq(params, h_sq, rho):
     decreasing in rho."""
     _, q = margin_terms(params, h_sq, 0.0)
     return params.sigma_d_eff * (1.0 - np.asarray(rho, dtype=float) + q)
-
-
-def rho_max(params, h_sq, gamma_0):
-    """Upper boundary of the feasible set, the root of F(rho) = 0 above zero:
-    (a - gamma_0 sp^2)/a. A value <= 0 means the feasible set is empty. An
-    exactly zero a is a degenerate channel and raises; callers treat it as
-    infeasible.
-    """
-    a, _ = margin_terms(params, h_sq, gamma_0)
-    if np.any(np.asarray(a) == 0.0):
-        raise DegenerateChannelError("P_s*|h|^2 == gamma_0*sigma_r^2")
-    return (a - gamma_0 * params.sigma_p_sq) / a
 
 
 def h_threshold(params, gamma_0):

@@ -22,13 +22,6 @@ def dbm_to_linear(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0)
 
 
-def snr_threshold(rate: float) -> float:
-    """Outage SNR threshold gamma_0 = 2^R - 1 for a fixed rate R (bits/sec/Hz)."""
-    if not rate > 0:
-        raise ConfigError(f"rate must be positive, got {rate!r}")
-    return 2.0 ** rate - 1.0
-
-
 @dataclass(frozen=True)
 class SystemParams:
     p_s: float            # source transmit power, mW
@@ -50,8 +43,8 @@ class SystemParams:
 
     @property
     def gamma_0(self) -> float:
-        """SNR threshold 2^rate - 1, recomputed on every access."""
-        return snr_threshold(self.rate)
+        """Outage SNR threshold 2^rate - 1 (rate in bits/sec/Hz), recomputed on every access."""
+        return 2.0 ** self.rate - 1.0
 
     @property
     def sigma_d_eff(self) -> float:

@@ -13,8 +13,9 @@ Three policies map a channel realization to a splitting ratio rho:
 Every rule returns rho, a scalar or an array shaped like the channel;
 rho = 1 means a harvest-only block.
 
-The oracle_grid_* functions are deliberately brute force. They are the
-independent verification route for the closed forms and must stay that way.
+The oracle_grid_* functions are deliberately brute force and call no closed
+form, not even the threshold H0. They are the independent verification route
+for the closed forms and must stay that way.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .link import h_threshold, margin_terms, rho_max, snr, w_ratio
+from .link import f_of_rho, h_threshold, margin_terms, sigma0_sq, snr
 
 __all__ = [
     "Fixed",
@@ -141,17 +142,12 @@ def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4) -> float:
 
 
 def oracle_grid_partial(params, h_sq, gamma_0, step: float = 1e-4) -> float:
-    """Brute-force argmax of W(rho) over the feasible part of the grid.
-
-    Empty feasible set (h below threshold, or no grid point under rho_max)
-    means certain outage, so the decision is harvest-only (rho = 1).
-    """
+    """Brute-force argmax of W(rho) over the grid points where F(rho) > 0; with
+    none, outage is certain and the decision is harvest-only (rho = 1)."""
     grid = _rho_grid(step)
-    if h_sq <= h_threshold(params, gamma_0):
+    f = f_of_rho(params, h_sq, gamma_0, grid)
+    feasible = f > 0.0
+    if not np.any(feasible):
         return 1.0
-    r_max = rho_max(params, h_sq, gamma_0)
-    mask = grid < r_max
-    if not np.any(mask):
-        return 1.0
-    vals = np.where(mask, w_ratio(params, h_sq, gamma_0, grid), -np.inf)
-    return float(grid[int(np.argmax(vals))])
+    w = np.where(feasible, f / sigma0_sq(params, h_sq, grid), -np.inf)
+    return float(grid[int(np.argmax(w))])

@@ -83,8 +83,6 @@ class SweepSpec:
             raise ValueError("sweep values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         if len(self.policies) == 0:
             raise ValueError("at least one policy required")
         for value in self.values:  # every point's params must be valid up front

@@ -6,7 +6,6 @@ from scipy import stats
 
 from swipt_relay.channel import (
     FadingParams,
-    make_rng,
     sample_channels,
     sample_gains,
     substream,
@@ -15,17 +14,23 @@ from swipt_relay.channel import (
 
 class TestRngDeterminism:
     def test_same_seed_same_sequence(self):
-        a = make_rng(42).random(1000)
-        b = make_rng(42).random(1000)
+        a = substream(42).random(1000)
+        b = substream(42).random(1000)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = make_rng(42).random(1000)
-        b = make_rng(43).random(1000)
+        a = substream(42).random(1000)
+        b = substream(43).random(1000)
         assert np.any(a != b)
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 63])
+    def test_root_stream_is_pcg64_of_the_seed(self, seed):
+        # with no index path, substream(seed) is the plain PCG64(SeedSequence(seed)) stream
+        plain = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        np.testing.assert_array_equal(substream(seed).random(1000), plain.random(1000))
+
     def test_zero_seed_is_a_valid_stream(self):
-        draws = make_rng(0).random(1000)
+        draws = substream(0).random(1000)
         assert np.all((draws >= 0) & (draws < 1))
         assert np.std(draws) > 0.1  # not degenerate
 
@@ -53,31 +58,31 @@ class TestSubstreams:
 
 class TestExponentialSampling:
     def test_sample_mean_h(self):
-        rng = make_rng(1)
+        rng = substream(1)
         fading = FadingParams(lambda_h=1.5, lambda_g=1.5)
         h_sq, _ = sample_channels(rng, fading, 10**6)
         assert abs(h_sq.mean() - 1.5) < 0.005
 
     def test_sample_mean_g(self):
-        rng = make_rng(2)
+        rng = substream(2)
         fading = FadingParams(lambda_h=1.5, lambda_g=1.5)
         _, g_sq = sample_channels(rng, fading, 10**6)
         assert abs(g_sq.mean() - 1.5) < 0.005
 
     def test_empirical_median(self):
-        rng = make_rng(3)
+        rng = substream(3)
         h_sq = sample_gains(rng, 1.5, 10**6)
         expected = 1.5 * math.log(2)
         assert np.median(h_sq) == pytest.approx(expected, rel=0.01)
 
     def test_samples_strictly_positive(self):
-        rng = make_rng(4)
+        rng = substream(4)
         h_sq = sample_gains(rng, 0.001, 10**6)
         assert np.all(h_sq > 0)
 
     @pytest.mark.parametrize("lam", [0.5, 1.5, 5.0])
     def test_ks_against_exponential(self, lam):
-        rng = make_rng(5)
+        rng = substream(5)
         n = 10**5
         samples = sample_gains(rng, lam, n)
         stat = stats.kstest(samples, "expon", args=(0, lam)).statistic
@@ -85,7 +90,7 @@ class TestExponentialSampling:
         assert stat < critical_1pct
 
     def test_h_g_uncorrelated(self):
-        rng = make_rng(6)
+        rng = substream(6)
         fading = FadingParams(lambda_h=1.5, lambda_g=2.5)
         h_sq, g_sq = sample_channels(rng, fading, 10**5)
         corr = np.corrcoef(h_sq, g_sq)[0, 1]
@@ -99,8 +104,8 @@ class TestExponentialSampling:
 
     def test_bit_identical_reproducibility(self):
         fading = FadingParams(lambda_h=1.5, lambda_g=1.5)
-        a = sample_channels(make_rng(9), fading, 1000)
-        b = sample_channels(make_rng(9), fading, 1000)
+        a = sample_channels(substream(9), fading, 1000)
+        b = sample_channels(substream(9), fading, 1000)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 

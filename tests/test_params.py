@@ -5,7 +5,6 @@ from swipt_relay.params import (
     ConfigError,
     SystemParams,
     dbm_to_linear,
-    snr_threshold,
     validate,
 )
 
@@ -42,14 +41,14 @@ class TestDbmConversion:
 
 class TestSnrThreshold:
     def test_rate_three(self):
-        assert snr_threshold(3.0) == 7.0
+        assert validate({**REF_CONFIG, "rate_bps_hz": 3.0}).gamma_0 == 7.0
 
     def test_rate_one(self):
-        assert snr_threshold(1.0) == 1.0
+        assert validate({**REF_CONFIG, "rate_bps_hz": 1.0}).gamma_0 == 1.0
 
     def test_rate_zero_rejected(self):
         with pytest.raises(ConfigError):
-            snr_threshold(0.0)
+            validate({**REF_CONFIG, "rate_bps_hz": 0.0})
 
 
 class TestValidate:

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from swipt_relay.channel import make_rng
+from swipt_relay.channel import substream
 from swipt_relay.link import (
     h_threshold,
-    rho_max,
     snr,
     w_ratio,
     conditional_outage,
 )
+from swipt_relay import policy
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import (
     Fixed,
@@ -32,6 +32,11 @@ GAMMA_0 = 7.0
 # by 1e-6-step grid search on the respective objectives.
 FULL_RHO_REF = 0.5356034165509731
 PART_RHO_REF = 0.9976912602008429
+
+
+def textbook_rho_max(p, h_sq, gamma_0):
+    """Root of F(rho) = rho*((1 - rho)*(P_s h^2 - gamma_0 sr^2) - gamma_0 sp^2) above zero."""
+    return 1.0 - gamma_0 * p.sigma_p_sq / (p.p_s * h_sq - gamma_0 * p.sigma_r_sq)
 
 
 def textbook_coefficients(params, h_sq, g_sq):
@@ -58,14 +63,14 @@ class TestFullCsiClosedForm:
         assert abs(float(full_csi_rho(ref_params, 1.5, 1.5)) - grid) <= 2e-5
 
     def test_strictly_interior(self):
-        rng = make_rng(21)
+        rng = substream(21)
         for params, h_sq, g_sq in random_instances(rng, 500):
             rho = float(full_csi_rho(params, h_sq, g_sq))
             assert 0.0 < rho < 1.0
 
     def test_stable_form_equals_two_branch_form(self):
         # textbook form (-b1 - sqrt(b1^2-4a1c1)) / (2a1), valid for a1 != 0
-        rng = make_rng(22)
+        rng = substream(22)
         for params, h_sq, g_sq in random_instances(rng, 500):
             a1, b1, c1 = textbook_coefficients(params, h_sq, g_sq)
             if abs(a1) <= 1e-6 * c1:
@@ -83,7 +88,7 @@ class TestFullCsiClosedForm:
 
     def test_optimal_against_grid(self):
         # random_instances draws epsilon in [0.2, 1), so this covers the fold
-        for params, h_sq, g_sq in random_instances(make_rng(23), 200):
+        for params, h_sq, g_sq in random_instances(substream(23), 200):
             rho_cf = float(full_csi_rho(params, h_sq, g_sq))
             rho_grid = oracle_grid_full(params, h_sq, g_sq, step=1e-4)
             assert abs(rho_cf - rho_grid) <= 2e-4
@@ -111,17 +116,17 @@ class TestPartialCsiClosedForm:
         assert abs(rho - grid) <= 2e-5
 
     def test_inside_feasible_set(self):
-        rng = make_rng(24)
+        rng = substream(24)
         for params, h_sq, _ in random_instances(rng, 500):
             rho = float(partial_csi_rho(params, h_sq, GAMMA_0))
             if rho == 1.0:
                 assert h_sq <= h_threshold(params, GAMMA_0)
                 continue
-            r_max = float(rho_max(params, h_sq, GAMMA_0))
+            r_max = float(textbook_rho_max(params, h_sq, GAMMA_0))
             assert 0.0 < rho < r_max
 
     def test_optimal_against_grid(self):
-        for params, h_sq, _ in random_instances(make_rng(25), 200):
+        for params, h_sq, _ in random_instances(substream(25), 200):
             rho_cf = float(partial_csi_rho(params, h_sq, GAMMA_0))
             rho_grid = oracle_grid_partial(params, h_sq, GAMMA_0, step=1e-4)
             assert (rho_cf == 1.0) == (rho_grid == 1.0)
@@ -171,6 +176,18 @@ class TestOracles:
 
     def test_partial_oracle_infeasible(self, ref_params):
         assert oracle_grid_partial(ref_params, 1.0e-5, GAMMA_0, step=1e-4) == 1.0
+
+    def test_partial_oracle_reads_no_threshold(self, monkeypatch, ref_params):
+        # feasibility comes from F(rho) > 0 on the grid, never from H0
+        def fail(*args):
+            raise AssertionError("the oracle read H0")
+        h0 = h_threshold(ref_params, GAMMA_0)
+        monkeypatch.setattr(policy, "h_threshold", fail)
+        assert oracle_grid_partial(ref_params, h0, GAMMA_0, step=1e-4) == 1.0
+        # just above H0 the feasible interval is (0, textbook_rho_max), about (0, 0.02)
+        rho = oracle_grid_partial(ref_params, 1.01 * h0, GAMMA_0, step=1e-4)
+        assert 0.0 < rho < textbook_rho_max(ref_params, 1.01 * h0, GAMMA_0)
+        assert abs(oracle_grid_partial(ref_params, 1.5, GAMMA_0, step=1e-5) - PART_RHO_REF) <= 2e-5
 
 
 class TestPolicyNames:

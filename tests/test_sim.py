@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swipt_relay import sim
-from swipt_relay.channel import FadingParams, make_rng, sample_channels, substream
+from swipt_relay.channel import FadingParams, sample_channels, substream
 from swipt_relay.link import h_threshold, snr
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import (
@@ -107,7 +107,7 @@ class TestOutageMc:
     def test_full_and_partial_csi_fail_on_the_same_draws(self, ref_params, ref_fading, p_s_dbm):
         # both fail exactly when |g|^2 * max_rho W(rho) < gamma_0
         params = dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s_dbm))
-        h, g = sample_channels(make_rng(13), ref_fading, 1 << 19)
+        h, g = sample_channels(substream(13), ref_fading, 1 << 19)
         full = snr(params, h, g, full_csi_rho(params, h, g)) < GAMMA_0
         partial = snr(params, h, g, partial_csi_rho(params, h, GAMMA_0)) < GAMMA_0
         assert np.any(full)
@@ -122,7 +122,7 @@ class TestOutageMc:
         sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
         params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
                               sigma_d_sq=sd, rate=3.0, epsilon=epsilon)
-        h, g = sample_channels(make_rng(seed), FadingParams(lambda_h, lambda_g), 4096)
+        h, g = sample_channels(substream(seed), FadingParams(lambda_h, lambda_g), 4096)
         full = snr(params, h, g, full_csi_rho(params, h, g)) < GAMMA_0
         partial = snr(params, h, g, partial_csi_rho(params, h, GAMMA_0)) < GAMMA_0
         assert np.count_nonzero(full != partial) == 0
@@ -167,6 +167,31 @@ class TestMcKernel:
         expected = outage_point(ref_params, ref_fading, self.POLICIES, GAMMA_0, n, 14)
         monkeypatch.setattr(sim, "CHUNK", chunk)
         assert outage_point(ref_params, ref_fading, self.POLICIES, GAMMA_0, n, 14) == expected
+
+
+class TestSampleCount:
+    """n >= 1 is checked once, for every estimator, before any batch runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_batch_runs(self, monkeypatch):
+        def fail(args):
+            raise AssertionError("a batch ran")
+        monkeypatch.setattr(sim, "_mc_batch", fail)
+        monkeypatch.setattr(sim, "_sa_batch", fail)
+
+    def test_outage_point(self, ref_params, ref_fading):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            outage_point(ref_params, ref_fading, (Fixed(0.5),), GAMMA_0, n=0, seed=1)
+
+    def test_outage_semi_analytic(self, ref_params, ref_fading):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            outage_semi_analytic(ref_params, ref_fading, Fixed(0.5), GAMMA_0, n_h=0, seed=1)
+
+    def test_run_sweep(self, ref_params, ref_fading):
+        spec = SweepSpec(variable="p_s_dbm", values=(40.0,), params=ref_params,
+                         fading=ref_fading, policies=(Fixed(0.5),), n=0, seed=1)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            run_sweep(spec)
 
 
 class TestSemiAnalytic:
