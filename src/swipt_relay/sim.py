@@ -3,9 +3,11 @@
 Determinism contract: every estimate is a pure function of (seed, n) plus the
 static parameters. Realizations are partitioned into fixed-size batches and
 batch b always draws from substream(seed, *key, b), so the result is
-bit-identical no matter how many workers execute the batches. Policies
-compared at the same operating point share the same channel draws (common
-random numbers), which sharpens gain and dominance comparisons.
+bit-identical no matter how many workers execute the batches. A sweep maps
+the batches of all its points as one plan, so it starts its worker pool once,
+and merges the results in plan order. Policies compared at the same operating
+point share the same channel draws (common random numbers), which sharpens
+gain and dominance comparisons.
 
 The Monte Carlo kernel draws each batch in full and then evaluates it in
 slices of CHUNK draws, so the temporaries stay in cache. Chunking does not
@@ -163,22 +165,25 @@ def _sa_batch(args):
     )
 
 
-def _map_batches(fn, head, n, seed, key, workers):
-    """fn over the batches of n draws, in batch order. Batch b gets the
-    arguments head + (seed, key, b, size) and draws from substream(seed, *key, b)."""
+def _map_batches(fn, points, n, seed, workers):
+    """fn over the batches of n draws at every (head, key) of points, in one
+    plan: per point, the list of its batch results in batch order. Batch b of
+    a point gets head + (seed, key, b, size) and draws from substream(seed, *key, b)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     count = -(-n // BATCH_SIZE)
-    key = tuple(key)
-    args = (head + (seed, key, b, min(BATCH_SIZE, n - b * BATCH_SIZE)) for b in range(count))
+    args = (head + (seed, tuple(key), b, min(BATCH_SIZE, n - b * BATCH_SIZE))
+            for head, key in points for b in range(count))
     # More workers than cores or batches would only add start-up cost.
-    workers = min(workers, os.cpu_count() or 1, count)
+    workers = min(workers, os.cpu_count() or 1, count * len(points))
     if workers <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        # ex.map preserves submission order, so the merge below is
-        # independent of scheduling.
-        return list(ex.map(fn, args, chunksize=1))
+        results = [fn(a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            # ex.map keeps submission order, so the split below does not
+            # depend on scheduling.
+            results = list(ex.map(fn, args, chunksize=1))
+    return [results[i:i + count] for i in range(0, len(results), count)]
 
 
 def _estimate(p, std_err, n, rho_sum, n_tx) -> OutageEstimate:
@@ -192,22 +197,23 @@ def _estimate(p, std_err, n, rho_sum, n_tx) -> OutageEstimate:
     )
 
 
+def _mc_estimates(per_batch, n):
+    """One OutageEstimate per policy from the _mc_batch results of one point."""
+    estimates = []
+    for stats in zip(*per_batch):  # one policy's (n_out, rho_sum, n_tx) per batch
+        p = sum(s[0] for s in stats) / n
+        estimates.append(_estimate(p, math.sqrt(p * (1.0 - p) / n), n,
+                                   math.fsum(s[1] for s in stats), sum(s[2] for s in stats)))
+    return estimates
+
+
 def outage_point(params, fading, policies, gamma_0, n, seed, key=(), workers=1):
     """Monte Carlo outage for several policies on shared channel draws.
 
     Returns one OutageEstimate per policy, in order.
     """
-    per_batch = _map_batches(
-        _mc_batch, (params, fading, tuple(policies), gamma_0), n, seed, key, workers
-    )
-    estimates = []
-    for j in range(len(policies)):
-        n_out = sum(batch[j][0] for batch in per_batch)
-        rho_sum = math.fsum(batch[j][1] for batch in per_batch)
-        n_tx = sum(batch[j][2] for batch in per_batch)
-        p = n_out / n
-        estimates.append(_estimate(p, math.sqrt(p * (1.0 - p) / n), n, rho_sum, n_tx))
-    return estimates
+    head = (params, fading, tuple(policies), gamma_0)
+    return _mc_estimates(_map_batches(_mc_batch, [(head, key)], n, seed, workers)[0], n)
 
 
 def outage_mc(params, fading, policy, gamma_0, n, seed, workers=1) -> OutageEstimate:
@@ -225,7 +231,8 @@ def outage_semi_analytic(params, fading, policy, gamma_0, n_h, seed, workers=1) 
     """
     if isinstance(policy, FullCSI):
         raise ValueError("semi-analytic estimator requires a g-independent policy")
-    per_batch = _map_batches(_sa_batch, (params, fading, policy, gamma_0), n_h, seed, (), workers)
+    head = (params, fading, policy, gamma_0)
+    per_batch = _map_batches(_sa_batch, [(head, ())], n_h, seed, workers)[0]
     s1 = math.fsum(b[0] for b in per_batch)
     s2 = math.fsum(b[1] for b in per_batch)
     rho_sum = math.fsum(b[2] for b in per_batch)
@@ -291,18 +298,18 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple:
     """One SweepRow per (sweep value, policy), value-major; deterministic in spec.seed.
 
     Each sweep point owns the substream key (point_index,); within a point all
-    policies share channel draws.
+    policies share channel draws. The batches of all points form one plan and
+    one map, so a sweep starts at most one worker pool; results are split back
+    per point in plan order, so point i's estimates equal outage_point(..., key=(i,)).
     """
-    rows = []
-    for i, value in enumerate(spec.values):
-        params, fading = _point_config(spec, value)
-        estimates = outage_point(
-            params, fading, spec.policies, params.gamma_0,
-            spec.n, spec.seed, key=(i,), workers=workers,
-        )
-        for pol, est in zip(spec.policies, estimates):
-            rows.append(SweepRow(sweep_value=float(value), policy=pol, estimate=est))
-    return tuple(rows)
+    configs = [_point_config(spec, value) for value in spec.values]
+    plan = [((p, f, tuple(spec.policies), p.gamma_0), (i,)) for i, (p, f) in enumerate(configs)]
+    per_point = _map_batches(_mc_batch, plan, spec.n, spec.seed, workers)
+    return tuple(
+        SweepRow(sweep_value=float(value), policy=pol, estimate=est)
+        for value, per_batch in zip(spec.values, per_point)
+        for pol, est in zip(spec.policies, _mc_estimates(per_batch, spec.n))
+    )
 
 
 def _eta_se(est_x: OutageEstimate, est_ref: OutageEstimate) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FadingParams, substream
-from .link import h_threshold, snr, snr_via_beta, w_ratio
+from .link import f_of_rho, h_threshold, snr, snr_via_beta, w_ratio
 from .params import SystemParams, dbm_to_linear
 from .policy import (
     Fixed,
@@ -98,7 +98,8 @@ def battery_partial_csi(count=10_000, seed=2025) -> BatteryResult:
     """Closed-form partial-CSI rho vs grid argmax of W over the feasible set.
 
     |h|^2 is log-uniform on [H0/10, 10], so about one draw in six lies at or
-    below the instance's threshold H0 and must be harvest-only."""
+    below the instance's threshold H0 and must be harvest-only. Where no grid
+    point is feasible, a feasible closed-form rho passes too."""
     rng = substream(seed)
     worst_drho, worst_rel, bad_infeasible = 0.0, 0.0, 0
     for _ in range(count):
@@ -108,8 +109,9 @@ def battery_partial_csi(count=10_000, seed=2025) -> BatteryResult:
         h_sq = float(np.exp(rng.uniform(low, np.log(10.0))))
         rho_cf = float(partial_csi_rho(params, h_sq, gamma_0))
         rho_grid = oracle_grid_partial(params, h_sq, gamma_0, STEP)
-        if rho_grid == 1.0:  # harvest-only
-            if rho_cf != 1.0:
+        if rho_grid == 1.0:  # harvest-only, or a feasible interval narrower than STEP
+            feasible = 0.0 < rho_cf < 1.0 and f_of_rho(params, h_sq, gamma_0, rho_cf) > 0.0
+            if rho_cf != 1.0 and not feasible:
                 bad_infeasible += 1
             continue
         worst_drho = max(worst_drho, abs(rho_cf - rho_grid))

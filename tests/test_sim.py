@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from swipt_relay import sim
 from swipt_relay.channel import FadingParams, sample_channels, substream
@@ -29,6 +29,39 @@ from swipt_relay.sim import (
 )
 
 GAMMA_0 = 7.0
+
+
+def install_serial_pool(monkeypatch, cpus):
+    """Patch sim's ProcessPoolExecutor with an in-process stand-in and report
+    os.cpu_count() as cpus. Returns the list of max_workers, one entry per
+    pool started. Nothing is forked."""
+    started = []
+
+    class SerialPool:
+        """Runs the items worker by worker (item i on worker i % max_workers),
+        so the run order depends on the worker count, and returns the results
+        in submission order, as Executor.map does."""
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            results = [None] * len(items)
+            for w in range(self.workers):
+                for i in range(w, len(items), self.workers):
+                    results[i] = fn(items[i])
+            return iter(results)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    return started
 
 
 class TestOutageMc:
@@ -78,25 +111,8 @@ class TestOutageMc:
     @pytest.mark.parametrize("cpus,expected", [(2, 2), (8, 3)])
     def test_workers_clamped_to_cores_and_batches(self, monkeypatch, ref_params,
                                                   ref_fading, cpus, expected):
-        started = []
-
-        class SerialPool:
-            """Records max_workers and maps in this process: starts nothing."""
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
         monkeypatch.setattr(sim, "BATCH_SIZE", 1000)
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        started = install_serial_pool(monkeypatch, cpus)
         policies = (FullCSI(), Fixed(0.6))
         serial = outage_point(ref_params, ref_fading, policies, GAMMA_0, 2500, 12)
         pooled = outage_point(ref_params, ref_fading, policies, GAMMA_0, 2500, 12, workers=64)
@@ -326,3 +342,64 @@ class TestRunSweep:
         for g in gains:
             for eta, _ in g.eta.values():
                 assert math.isfinite(eta)
+
+
+class TestOnePoolPerSweep:
+    """run_sweep maps every (point, batch) of the sweep through one pool."""
+    POLICIES = (FullCSI(), PartialCSI(), Fixed(0.4), Fixed(0.8))
+    BATCH = 1000  # small batches keep these tests fast; the plan logic is the same
+
+    def spec(self, params, fading, values, n, seed=21):
+        return SweepSpec(variable="p_s_dbm", values=tuple(values), params=params,
+                         fading=fading, policies=self.POLICIES, n=n, seed=seed)
+
+    # ref_params and ref_fading are frozen dataclasses: nothing to reset per example
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.sampled_from([1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 7]),
+           points=st.integers(1, 4), workers=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_do_not_depend_on_the_worker_count(self, ref_params, ref_fading,
+                                                   n, points, workers, seed):
+        spec = self.spec(ref_params, ref_fading, range(30, 30 + 5 * points, 5), n, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "BATCH_SIZE", self.BATCH)
+            started = install_serial_pool(mp, cpus=8)
+            serial = run_sweep(spec, workers=1)
+            assert started == []
+            assert run_sweep(spec, workers=workers) == serial
+        batches = points * -(-n // self.BATCH)
+        assert started == ([min(workers, batches)] if min(workers, batches) > 1 else [])
+
+    def test_an_eleven_point_sweep_starts_one_pool(self, monkeypatch, ref_params, ref_fading):
+        monkeypatch.setattr(sim, "BATCH_SIZE", self.BATCH)
+        started = install_serial_pool(monkeypatch, cpus=2)
+        spec = self.spec(ref_params, ref_fading, range(30, 52, 2), 2 * self.BATCH)
+        serial = run_sweep(spec)
+        assert started == []  # one worker: no pool
+        assert run_sweep(spec, workers=2) == serial
+        assert started == [2]  # 22 batches, one pool
+
+    def test_a_pooled_point_starts_one_pool(self, monkeypatch, ref_params, ref_fading):
+        monkeypatch.setattr(sim, "BATCH_SIZE", self.BATCH)
+        started = install_serial_pool(monkeypatch, cpus=2)
+        outage_point(ref_params, ref_fading, self.POLICIES, GAMMA_0, 3 * self.BATCH, 1, workers=2)
+        assert started == [2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_point_equals_outage_point_at_its_key(self, monkeypatch, ref_params,
+                                                      ref_fading, workers):
+        monkeypatch.setattr(sim, "BATCH_SIZE", self.BATCH)
+        install_serial_pool(monkeypatch, cpus=2)
+        n = 2 * self.BATCH + 7
+        spec = self.spec(ref_params, ref_fading, (30.0, 40.0, 50.0), n)
+        rows = run_sweep(spec, workers=workers)
+        per_point = len(self.POLICIES)
+        for i, value in enumerate(spec.values):
+            params = dataclasses.replace(ref_params, p_s=dbm_to_linear(value))
+            expected = outage_point(params, ref_fading, self.POLICIES, params.gamma_0,
+                                    n, spec.seed, key=(i,))
+            got = rows[i * per_point:(i + 1) * per_point]
+            assert [r.sweep_value for r in got] == [value] * per_point
+            assert [r.policy for r in got] == list(self.POLICIES)
+            assert [r.estimate for r in got] == expected
