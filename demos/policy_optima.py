@@ -24,19 +24,18 @@ params = SystemParams(
     sigma_d_sq=dbm_to_linear(-17.0),
     rate=3.0,
 )
-gamma_0 = params.gamma_0
 rng = substream(2024)
 h_sqs, g_sqs = sample_channels(rng, FadingParams(lambda_h=1.5, lambda_g=1.5), 6)
 
 STEP = 1e-5
-print(f"target SNR gamma_0 = {gamma_0:g}, grid step = {STEP:g}\n")
+print(f"target SNR gamma_0 = {params.gamma_0:g}, grid step = {STEP:g}\n")
 print(f"{'h^2':>8} {'g^2':>8} | {'full cf':>10} {'full grid':>10} "
       f"| {'partial cf':>10} {'part grid':>10}")
 for h_sq, g_sq in zip(h_sqs, g_sqs):
     full_cf = full_csi_rho(params, h_sq, g_sq)
     full_gr = oracle_grid_full(params, h_sq, g_sq, step=STEP)
-    par_cf = float(partial_csi_rho(params, h_sq, gamma_0))
-    par_gr = oracle_grid_partial(params, h_sq, gamma_0, step=STEP)
+    par_cf = float(partial_csi_rho(params, h_sq))
+    par_gr = oracle_grid_partial(params, h_sq, step=STEP)
     print(f"{h_sq:8.4f} {g_sq:8.4f} | {full_cf:10.6f} {full_gr:10.6f} "
           f"| {par_cf:10.6f} {par_gr:10.6f}")
 

@@ -3,7 +3,8 @@
 The relay splits the received power with ratio rho: a fraction rho feeds the
 energy harvester and powers the relay's own transmission, the remaining
 1 - rho feeds the information path. Everything here is a pure function of
-(params, channel gains, rho); all functions broadcast over numpy arrays.
+(params, channel gains, rho) and broadcasts over numpy arrays. The outage
+threshold gamma_0 = 2^R - 1 is params.gamma_0, which every layer reads.
 
 The conversion efficiency eps scales the relay's transmit power, which
 carries the signal and the relay noise alike, so in the SNR it only divides
@@ -92,53 +93,53 @@ def snr_via_beta(params, h_sq, g_sq, rho):
     return params.p_s * h_sq * g_sq / den
 
 
-def margin_terms(params, h_sq, gamma_0):
-    """The terms (a, q) of the module docstring at |h|^2 = h_sq. q does not
-    depend on gamma_0, so a caller that needs only q may pass 0."""
+def margin_terms(params, h_sq):
+    """The terms (a, q) of the module docstring at |h|^2 = h_sq."""
     ps_h = params.p_s * h_sq
-    return ps_h - gamma_0 * params.sigma_r_sq, params.sigma_p_sq / (ps_h + params.sigma_r_sq)
+    a = ps_h - params.gamma_0 * params.sigma_r_sq
+    return a, params.sigma_p_sq / (ps_h + params.sigma_r_sq)
 
 
-def f_of_rho(params, h_sq, gamma_0, rho):
+def f_of_rho(params, h_sq, rho):
     """F(rho), the g-independent numerator margin of the outage condition:
     the feasible set is exactly {rho in (0,1) : F(rho) > 0}."""
-    a, _ = margin_terms(params, h_sq, gamma_0)
+    a, _ = margin_terms(params, h_sq)
     rho = np.asarray(rho, dtype=float)
-    return rho * ((1.0 - rho) * a - gamma_0 * params.sigma_p_sq)
+    return rho * ((1.0 - rho) * a - params.gamma_0 * params.sigma_p_sq)
 
 
 def sigma0_sq(params, h_sq, rho):
     """Effective noise sigma_0^2(rho); strictly positive on (0, 1] and affine
     decreasing in rho."""
-    _, q = margin_terms(params, h_sq, 0.0)
+    _, q = margin_terms(params, h_sq)
     return params.sigma_d_eff * (1.0 - np.asarray(rho, dtype=float) + q)
 
 
-def h_threshold(params, gamma_0):
+def h_threshold(params):
     """Channel-gain threshold H0 = gamma_0*(sr^2 + sp^2)/P_s.
 
     For |h|^2 <= H0 the feasible set is empty and outage is certain for every
     rho, so the only sensible action is to harvest everything.
     """
-    return gamma_0 * (params.sigma_r_sq + params.sigma_p_sq) / params.p_s
+    return params.gamma_0 * (params.sigma_r_sq + params.sigma_p_sq) / params.p_s
 
 
-def w_ratio(params, h_sq, gamma_0, rho):
+def w_ratio(params, h_sq, rho):
     """W(rho) = F(rho)/sigma_0^2(rho); maximizing W minimizes conditional outage."""
-    return f_of_rho(params, h_sq, gamma_0, rho) / sigma0_sq(params, h_sq, rho)
+    return f_of_rho(params, h_sq, rho) / sigma0_sq(params, h_sq, rho)
 
 
-def conditional_outage(params, h_sq, rho, lambda_g, gamma_0):
+def conditional_outage(params, h_sq, rho, lambda_g):
     """Outage probability given |h|^2 and rho, averaged over the exponential g.
 
     For feasible rho (F(rho) > 0) this is 1 - exp(-gamma_0*sigma_0^2/(F*lambda_g));
     for infeasible rho (including rho = 1) the outage is certain and the value
     is exactly 1.
     """
-    f = f_of_rho(params, h_sq, gamma_0, rho)
+    f = f_of_rho(params, h_sq, rho)
     s0 = sigma0_sq(params, h_sq, rho)
     feasible = f > 0.0
     safe_f = np.where(feasible, f, 1.0)
-    p = -np.expm1(-gamma_0 * s0 / (safe_f * lambda_g))
+    p = -np.expm1(-params.gamma_0 * s0 / (safe_f * lambda_g))
     out = np.where(feasible, p, 1.0)
     return float(out) if np.ndim(out) == 0 else out

@@ -43,7 +43,7 @@ class SystemParams:
 
     @property
     def gamma_0(self) -> float:
-        """Outage SNR threshold 2^rate - 1 (rate in bits/sec/Hz), recomputed on every access."""
+        """Outage SNR threshold 2^rate - 1, recomputed per access; every layer reads it here."""
         return 2.0 ** self.rate - 1.0
 
     @property

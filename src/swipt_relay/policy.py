@@ -20,6 +20,7 @@ for the closed forms and must stay that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -98,24 +99,24 @@ def full_csi_rho(params, h_sq, g_sq):
     a1 -> 0 (where the two-branch textbook form needs a special case and
     loses digits).
     """
-    _, q = margin_terms(params, h_sq, 0.0)
+    _, q = margin_terms(params, h_sq)
     c1 = params.sigma_d_eff * (1.0 + q)
     return c1 / (c1 + np.sqrt(c1 * (params.sigma_d_eff * q + g_sq * params.sigma_p_sq)))
 
 
-def partial_csi_rho(params, h_sq, gamma_0):
+def partial_csi_rho(params, h_sq):
     """Outage-minimizing rho given |h|^2 only, the maximizer of
     F(rho)/sigma_0^2(rho): rho = (1 + q) - sqrt((1 + q)*(q + gamma_0 sp^2/a)),
     or 1 (harvest only) at or below the feasibility threshold H0. Broadcasts."""
     h_sq = np.asarray(h_sq, dtype=float)
-    a, q = margin_terms(params, h_sq, gamma_0)
-    feasible = h_sq > h_threshold(params, gamma_0)
+    a, q = margin_terms(params, h_sq)
+    feasible = h_sq > h_threshold(params)
     a = np.where(feasible, a, 1.0)  # a > 0 whenever feasible; mask the rest
-    rho = (1.0 + q) - np.sqrt((1.0 + q) * (q + gamma_0 * params.sigma_p_sq / a))
+    rho = (1.0 + q) - np.sqrt((1.0 + q) * (q + params.gamma_0 * params.sigma_p_sq / a))
     return np.where(feasible, rho, 1.0)
 
 
-def decide_rho(policy: Policy, params, h_sq, g_sq, gamma_0):
+def decide_rho(policy: Policy, params, h_sq, g_sq):
     """Per-realization rho for any policy; broadcasts over channel arrays."""
     if isinstance(policy, Fixed):
         return np.broadcast_to(policy.rho0, np.shape(h_sq)).astype(float) \
@@ -123,15 +124,18 @@ def decide_rho(policy: Policy, params, h_sq, g_sq, gamma_0):
     if isinstance(policy, FullCSI):
         return full_csi_rho(params, h_sq, g_sq)
     if isinstance(policy, PartialCSI):
-        return partial_csi_rho(params, h_sq, gamma_0)
+        return partial_csi_rho(params, h_sq)
     raise TypeError(f"unknown policy type: {policy!r}")
 
 
+@lru_cache(maxsize=4)
 def _rho_grid(step: float) -> np.ndarray:
+    """The oracles' rho grid, built once per step; read-only, as it is shared."""
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"grid step must be in (0, 1e-3], got {step!r}")
-    m = round(1.0 / step) - 1
-    return np.linspace(step, 1.0 - step, m)
+    grid = np.linspace(step, 1.0 - step, round(1.0 / step) - 1)
+    grid.flags.writeable = False
+    return grid
 
 
 def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4) -> float:
@@ -141,11 +145,11 @@ def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4) -> float:
     return float(grid[int(np.argmax(vals))])
 
 
-def oracle_grid_partial(params, h_sq, gamma_0, step: float = 1e-4) -> float:
+def oracle_grid_partial(params, h_sq, step: float = 1e-4) -> float:
     """Brute-force argmax of W(rho) over the grid points where F(rho) > 0; with
     none, outage is certain and the decision is harvest-only (rho = 1)."""
     grid = _rho_grid(step)
-    f = f_of_rho(params, h_sq, gamma_0, grid)
+    f = f_of_rho(params, h_sq, grid)
     feasible = f > 0.0
     if not np.any(feasible):
         return 1.0

@@ -115,11 +115,11 @@ def _mc_batch(args):
     SNR's positive denominator, so no division, and the |h|^2 terms are shared
     by all policies.
     """
-    params, fading, policies, gamma_0, seed, key, batch_idx, size = args
+    params, fading, policies, seed, key, batch_idx, size = args
     rng = substream(seed, *key, batch_idx)
     h_sq, g_sq = sample_channels(rng, fading, size)
-    k_p = gamma_0 * params.sigma_p_sq
-    k_d = gamma_0 * params.sigma_d_eff
+    k_p = params.gamma_0 * params.sigma_p_sq
+    k_d = params.gamma_0 * params.sigma_d_eff
     # A fixed rho0 stays one number. Any other rho is kept for the whole batch,
     # zeroed where the relay only harvests, so its sum is one np.sum over the batch.
     tx_rho = [None if isinstance(pol, Fixed) else np.empty(size) for pol in policies]
@@ -128,13 +128,13 @@ def _mc_batch(args):
     # Per slice, F(rho) = rho*((1 - rho)*a - k_p) and gamma_0 sigma_0^2(rho) = k_d*(1 - rho) + c.
     for lo in range(0, size, CHUNK):
         h, g = h_sq[lo:lo + CHUNK], g_sq[lo:lo + CHUNK]
-        a, q = margin_terms(params, h, gamma_0)
+        a, q = margin_terms(params, h)
         c = k_d * q
         for j, pol in enumerate(policies):
             if tx_rho[j] is None:
                 rho = pol.rho0
             else:
-                rho = decide_rho(pol, params, h, g, gamma_0)
+                rho = decide_rho(pol, params, h, g)
                 transmitting = rho < 1.0
                 n_tx[j] += int(np.count_nonzero(transmitting))
                 tx_rho[j][lo:lo + CHUNK] = np.where(transmitting, rho, 0.0)
@@ -151,11 +151,11 @@ def _mc_batch(args):
 
 def _sa_batch(args):
     """One batch of h-only draws with the analytic g-average per draw."""
-    params, fading, policy, gamma_0, seed, key, batch_idx, size = args
+    params, fading, policy, seed, key, batch_idx, size = args
     rng = substream(seed, *key, batch_idx)
     h_sq = sample_gains(rng, fading.lambda_h, size)
-    rho = decide_rho(policy, params, h_sq, None, gamma_0)
-    p = conditional_outage(params, h_sq, rho, fading.lambda_g, gamma_0)
+    rho = decide_rho(policy, params, h_sq, None)
+    p = conditional_outage(params, h_sq, rho, fading.lambda_g)
     transmitting = rho < 1.0
     return (
         float(p.sum()),
@@ -208,20 +208,20 @@ def _mc_estimates(per_batch, n):
 
 
 def outage_point(params, fading, policies, gamma_0, n, seed, key=(), workers=1):
-    """Monte Carlo outage for several policies on shared channel draws.
-
-    Returns one OutageEstimate per policy, in order.
-    """
-    head = (params, fading, tuple(policies), gamma_0)
+    """Monte Carlo outage for several policies on shared channel draws, one
+    OutageEstimate per policy in order. gamma_0 must equal params.gamma_0."""
+    if gamma_0 != params.gamma_0:
+        raise ValueError(f"gamma_0={gamma_0!r} is not params.gamma_0={params.gamma_0!r}")
+    head = (params, fading, tuple(policies))
     return _mc_estimates(_map_batches(_mc_batch, [(head, key)], n, seed, workers)[0], n)
 
 
-def outage_mc(params, fading, policy, gamma_0, n, seed, workers=1) -> OutageEstimate:
+def outage_mc(params, fading, policy, n, seed) -> OutageEstimate:
     """Monte Carlo outage probability for a single policy."""
-    return outage_point(params, fading, (policy,), gamma_0, n, seed, workers=workers)[0]
+    return outage_point(params, fading, (policy,), params.gamma_0, n, seed)[0]
 
 
-def outage_semi_analytic(params, fading, policy, gamma_0, n_h, seed, workers=1) -> OutageEstimate:
+def outage_semi_analytic(params, fading, policy, n_h, seed) -> OutageEstimate:
     """Outage via sampled h and the closed-form expectation over g.
 
     Only valid for policies whose rho does not depend on g (PartialCSI and
@@ -231,8 +231,8 @@ def outage_semi_analytic(params, fading, policy, gamma_0, n_h, seed, workers=1) 
     """
     if isinstance(policy, FullCSI):
         raise ValueError("semi-analytic estimator requires a g-independent policy")
-    head = (params, fading, policy, gamma_0)
-    per_batch = _map_batches(_sa_batch, [(head, ())], n_h, seed, workers)[0]
+    head = (params, fading, policy)
+    per_batch = _map_batches(_sa_batch, [(head, ())], n_h, seed, 1)[0]
     s1 = math.fsum(b[0] for b in per_batch)
     s2 = math.fsum(b[1] for b in per_batch)
     rho_sum = math.fsum(b[2] for b in per_batch)
@@ -303,7 +303,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple:
     per point in plan order, so point i's estimates equal outage_point(..., key=(i,)).
     """
     configs = [_point_config(spec, value) for value in spec.values]
-    plan = [((p, f, tuple(spec.policies), p.gamma_0), (i,)) for i, (p, f) in enumerate(configs)]
+    plan = [((p, f, tuple(spec.policies)), (i,)) for i, (p, f) in enumerate(configs)]
     per_point = _map_batches(_mc_batch, plan, spec.n, spec.seed, workers)
     return tuple(
         SweepRow(sweep_value=float(value), policy=pol, estimate=est)

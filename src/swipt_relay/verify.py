@@ -104,19 +104,18 @@ def battery_partial_csi(count=10_000, seed=2025) -> BatteryResult:
     worst_drho, worst_rel, bad_infeasible = 0.0, 0.0, 0
     for _ in range(count):
         params = _random_params(rng)
-        gamma_0 = params.gamma_0
-        low = np.log(h_threshold(params, gamma_0) / 10.0)
+        low = np.log(h_threshold(params) / 10.0)
         h_sq = float(np.exp(rng.uniform(low, np.log(10.0))))
-        rho_cf = float(partial_csi_rho(params, h_sq, gamma_0))
-        rho_grid = oracle_grid_partial(params, h_sq, gamma_0, STEP)
+        rho_cf = float(partial_csi_rho(params, h_sq))
+        rho_grid = oracle_grid_partial(params, h_sq, STEP)
         if rho_grid == 1.0:  # harvest-only, or a feasible interval narrower than STEP
-            feasible = 0.0 < rho_cf < 1.0 and f_of_rho(params, h_sq, gamma_0, rho_cf) > 0.0
+            feasible = 0.0 < rho_cf < 1.0 and f_of_rho(params, h_sq, rho_cf) > 0.0
             if rho_cf != 1.0 and not feasible:
                 bad_infeasible += 1
             continue
         worst_drho = max(worst_drho, abs(rho_cf - rho_grid))
-        w_cf = float(w_ratio(params, h_sq, gamma_0, rho_cf))
-        w_grid = float(w_ratio(params, h_sq, gamma_0, rho_grid))
+        w_cf = float(w_ratio(params, h_sq, rho_cf))
+        w_grid = float(w_ratio(params, h_sq, rho_grid))
         if w_grid > 0:
             worst_rel = max(worst_rel, (w_grid - w_cf) / w_grid)
     passed = worst_drho <= 2 * STEP and worst_rel <= 1e-9 and bad_infeasible == 0
@@ -157,11 +156,10 @@ def battery_estimator_cross_check(n=200_000, seed=2027) -> BatteryResult:
         rate=DEFAULT_RATE,
     )
     fading = FadingParams(lambda_h=1.5, lambda_g=1.5)
-    gamma_0 = params.gamma_0
     details, passed = [], True
     for policy in (PartialCSI(), Fixed(0.6)):
-        mc = outage_mc(params, fading, policy, gamma_0, n, seed)
-        sa = outage_semi_analytic(params, fading, policy, gamma_0, n, seed + 1)
+        mc = outage_mc(params, fading, policy, n, seed)
+        sa = outage_semi_analytic(params, fading, policy, n, seed + 1)
         gap = abs(mc.p_out - sa.p_out)
         limit = 3.0 * np.hypot(mc.std_err, sa.std_err)
         ok = gap <= limit

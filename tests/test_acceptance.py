@@ -87,13 +87,13 @@ def exact_outage(params, fading, rho0=None):
     """
     gamma_0, lam = params.gamma_0, fading.lambda_h
     if rho0 is None:
-        h_c = h_threshold(params, gamma_0)
+        h_c = h_threshold(params)
     else:
         h_c = gamma_0 * (params.sigma_r_sq + params.sigma_p_sq / (1.0 - rho0)) / params.p_s
 
     def integrand(h):
-        rho = partial_csi_rho(params, h, gamma_0) if rho0 is None else rho0
-        p = conditional_outage(params, h, rho, fading.lambda_g, gamma_0)
+        rho = partial_csi_rho(params, h) if rho0 is None else rho0
+        p = conditional_outage(params, h, rho, fading.lambda_g)
         return p * math.exp(-h / lam) / lam
 
     edges, x = [h_c], 1e-3 * h_c
@@ -179,10 +179,8 @@ def test_criterion_3_snr_algebraic_identity():
 def test_criterion_4_estimator_cross_check():
     details, ok = [], True
     for policy in (PartialCSI(), Fixed(0.4), Fixed(0.6), Fixed(0.8)):
-        mc = outage_mc(REF_PARAMS, REF_FADING, policy, REF_PARAMS.gamma_0,
-                       10**6, SEED)
-        sa = outage_semi_analytic(REF_PARAMS, REF_FADING, policy,
-                                  REF_PARAMS.gamma_0, 10**6, SEED + 1)
+        mc = outage_mc(REF_PARAMS, REF_FADING, policy, 10**6, SEED)
+        sa = outage_semi_analytic(REF_PARAMS, REF_FADING, policy, 10**6, SEED + 1)
         gap = abs(mc.p_out - sa.p_out)
         limit = 3 * combined_se(mc, sa)
         ok = ok and gap <= limit

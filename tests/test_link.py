@@ -135,16 +135,16 @@ class TestSnrBetaIdentity:
 
 class TestFOfRho:
     def test_zero_at_origin(self, ref_params):
-        assert f_of_rho(ref_params, 1.5, GAMMA_0, 0.0) == 0.0
+        assert f_of_rho(ref_params, 1.5, 0.0) == 0.0
 
     def test_zero_at_rho_max(self, ref_params):
         r = float(textbook_rho_max(ref_params, 1.5, GAMMA_0))
-        assert abs(float(f_of_rho(ref_params, 1.5, GAMMA_0, r))) < 1e-8 * ref_params.p_s
+        assert abs(float(f_of_rho(ref_params, 1.5, r))) < 1e-8 * ref_params.p_s
 
     def test_nonpositive_below_threshold(self, ref_params):
-        h0 = h_threshold(ref_params, GAMMA_0)
+        h0 = h_threshold(ref_params)
         rho = np.linspace(1e-6, 1 - 1e-6, 10001)
-        assert np.all(f_of_rho(ref_params, h0 / 2, GAMMA_0, rho) <= 0.0)
+        assert np.all(f_of_rho(ref_params, h0 / 2, rho) <= 0.0)
 
     def test_sign_matches_feasible_interval(self):
         rng = substream(13)
@@ -152,10 +152,10 @@ class TestFOfRho:
         for _ in range(100):
             p = random_params(rng)
             h = float(random_gain(rng))
-            if h <= h_threshold(p, GAMMA_0):
+            if h <= h_threshold(p):
                 continue
             r_max = float(textbook_rho_max(p, h, GAMMA_0))
-            f = f_of_rho(p, h, GAMMA_0, rho)
+            f = f_of_rho(p, h, rho)
             np.testing.assert_array_equal(f > 0, rho < r_max)
 
 
@@ -181,54 +181,56 @@ class TestHThreshold:
     def test_reference_value(self):
         p = SystemParams(p_s=10000.0, sigma_r_sq=0.01, sigma_p_sq=0.01,
                          sigma_d_sq=0.02, rate=3.0)
-        assert h_threshold(p, GAMMA_0) == pytest.approx(1.4e-5, rel=1e-12)
+        assert h_threshold(p) == pytest.approx(1.4e-5, rel=1e-12)
 
-    def test_vanishes_with_gamma0(self, ref_params):
-        assert h_threshold(ref_params, 0.0) == 0.0
+    def test_proportional_to_gamma0(self, ref_params):
+        # gamma_0 = 2^R - 1 is 1 at R = 1 and 7 at R = 3
+        rate_1 = dataclasses.replace(ref_params, rate=1.0)
+        assert h_threshold(rate_1) == pytest.approx(h_threshold(ref_params) / 7, rel=1e-12)
 
     def test_inverse_in_p_s(self, ref_params):
         doubled = dataclasses.replace(ref_params, p_s=2 * ref_params.p_s)
-        assert h_threshold(doubled, GAMMA_0) == pytest.approx(
-            h_threshold(ref_params, GAMMA_0) / 2, rel=1e-12
+        assert h_threshold(doubled) == pytest.approx(
+            h_threshold(ref_params) / 2, rel=1e-12
         )
 
 
 class TestWRatio:
     def test_zero_at_rho_max(self, ref_params):
         r = float(textbook_rho_max(ref_params, 1.5, GAMMA_0))
-        w_peak = float(w_ratio(ref_params, 1.5, GAMMA_0, 0.5))
-        assert abs(float(w_ratio(ref_params, 1.5, GAMMA_0, r))) < 1e-8 * w_peak
+        w_peak = float(w_ratio(ref_params, 1.5, 0.5))
+        assert abs(float(w_ratio(ref_params, 1.5, r))) < 1e-8 * w_peak
 
     def test_vanishes_at_origin(self, ref_params):
-        assert abs(float(w_ratio(ref_params, 1.5, GAMMA_0, 1e-12))) < 1e-6
+        assert abs(float(w_ratio(ref_params, 1.5, 1e-12))) < 1e-6
 
     def test_concavity_midpoint(self):
         rng = substream(14)
         for _ in range(200):
             p = random_params(rng)
             h = float(random_gain(rng))
-            if h <= h_threshold(p, GAMMA_0):
+            if h <= h_threshold(p):
                 continue
             r_max = min(float(textbook_rho_max(p, h, GAMMA_0)), 1.0)
             if r_max <= 0:
                 continue
             r1, r2 = sorted(rng.uniform(1e-6, r_max - 1e-9, 2))
-            mid = float(w_ratio(p, h, GAMMA_0, 0.5 * (r1 + r2)))
-            avg = 0.5 * (float(w_ratio(p, h, GAMMA_0, r1)) + float(w_ratio(p, h, GAMMA_0, r2)))
+            mid = float(w_ratio(p, h, 0.5 * (r1 + r2)))
+            avg = 0.5 * (float(w_ratio(p, h, r1)) + float(w_ratio(p, h, r2)))
             assert mid >= avg - 1e-9 * abs(avg)
 
 
 class TestConditionalOutage:
     def test_certain_below_threshold(self, ref_params):
-        h0 = h_threshold(ref_params, GAMMA_0)
+        h0 = h_threshold(ref_params)
         for rho in (0.1, 0.5, 0.9, 1.0):
-            assert conditional_outage(ref_params, h0 / 2, rho, 1.5, GAMMA_0) == 1.0
+            assert conditional_outage(ref_params, h0 / 2, rho, 1.5) == 1.0
 
     def test_rho_one_is_certain_outage(self, ref_params):
-        assert conditional_outage(ref_params, 1.5, 1.0, 1.5, GAMMA_0) == 1.0
+        assert conditional_outage(ref_params, 1.5, 1.0, 1.5) == 1.0
 
     def test_vanishes_for_huge_lambda_g(self, ref_params):
-        p = conditional_outage(ref_params, 1.5, 0.5, 1e12, GAMMA_0)
+        p = conditional_outage(ref_params, 1.5, 0.5, 1e12)
         assert 0 <= p < 1e-9
 
     def test_in_unit_interval(self):
@@ -237,17 +239,17 @@ class TestConditionalOutage:
             p = random_params(rng)
             h = float(random_gain(rng))
             rho = float(rng.uniform(0.01, 1.0))
-            val = conditional_outage(p, h, rho, float(rng.uniform(0.1, 10)), GAMMA_0)
+            val = conditional_outage(p, h, rho, float(rng.uniform(0.1, 10)))
             assert 0.0 <= val <= 1.0
 
     def test_monotone_in_lambda_g(self, ref_params):
         lams = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-        vals = [conditional_outage(ref_params, 1.5, 0.5, lam, GAMMA_0) for lam in lams]
+        vals = [conditional_outage(ref_params, 1.5, 0.5, lam) for lam in lams]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_h(self, ref_params):
         hs = [0.1, 0.5, 1.0, 2.0, 5.0]
-        vals = [conditional_outage(ref_params, h, 0.5, 1.5, GAMMA_0) for h in hs]
+        vals = [conditional_outage(ref_params, h, 0.5, 1.5) for h in hs]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_relative_precision_at_tiny_outage(self, ref_params):
@@ -255,17 +257,17 @@ class TestConditionalOutage:
         # only about 8 significant digits
         p = dataclasses.replace(ref_params, p_s=dbm_to_linear(54.0))
         h, rho, lam_g = 50.0, 0.6, 1.5
-        x = GAMMA_0 * float(sigma0_sq(p, h, rho)) / (float(f_of_rho(p, h, GAMMA_0, rho)) * lam_g)
+        x = GAMMA_0 * float(sigma0_sq(p, h, rho)) / (float(f_of_rho(p, h, rho)) * lam_g)
         assert 1e-8 < x < 2e-8
         exact = -math.expm1(-x)
-        assert abs(conditional_outage(p, h, rho, lam_g, GAMMA_0) - exact) <= 1e-14 * exact
+        assert abs(conditional_outage(p, h, rho, lam_g) - exact) <= 1e-14 * exact
 
     def test_against_mc_over_g(self, ref_params):
         # the closed form is the expectation over the exponential g; check it
         # against raw outage frequency on 1e6 g draws at fixed (h, rho)
         rng = substream(16)
         lam_g, rho, h = 1.5, 0.5, 0.01  # weak first hop so outage events are plentiful
-        analytic = conditional_outage(ref_params, h, rho, lam_g, GAMMA_0)
+        analytic = conditional_outage(ref_params, h, rho, lam_g)
         n = 10**6
         g = sample_gains(rng, lam_g, n)
         gamma = snr(ref_params, h, g, rho)
@@ -279,7 +281,7 @@ class TestCoefficientIdentities:
         # the margin terms at P_s = 1e4 mW, noise 0.01 mW, |h|^2 = 1.5 by direct arithmetic
         p = SystemParams(p_s=10000.0, sigma_r_sq=0.01, sigma_p_sq=0.01,
                          sigma_d_sq=0.02, rate=3.0)
-        a, q = margin_terms(p, 1.5, GAMMA_0)
+        a, q = margin_terms(p, 1.5)
         assert a == pytest.approx(15000 - 0.07, rel=1e-15)
         assert q == pytest.approx(0.01 / 15000.01, rel=1e-15)
 
@@ -297,6 +299,6 @@ class TestCoefficientIdentities:
         signal = p.p_s * h_sq * rho * (1 - rho)
         noise = GAMMA_0 * (rho ** 2 * sr + rho * sr + rho * sp)
         f_ref = signal - GAMMA_0 * (-(rho ** 2) * sr + rho * sr + rho * sp)
-        assert abs(float(f_of_rho(p, h_sq, GAMMA_0, rho)) - f_ref) <= 1e-12 * (signal + noise)
+        assert abs(float(f_of_rho(p, h_sq, rho)) - f_ref) <= 1e-12 * (signal + noise)
         s0_ref = sd_eff * (1 - rho) + sp * sd_eff / (p.p_s * h_sq + sr)
         assert float(sigma0_sq(p, h_sq, rho)) == pytest.approx(s0_ref, rel=1e-12)

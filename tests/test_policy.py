@@ -99,50 +99,50 @@ class TestFullCsiClosedForm:
 
 class TestPartialCsiClosedForm:
     def test_below_threshold_harvests(self, ref_params):
-        assert partial_csi_rho(ref_params, 1.0e-5, GAMMA_0) == 1.0  # H0 = 1.4e-5
+        assert partial_csi_rho(ref_params, 1.0e-5) == 1.0  # H0 = 1.4e-5
 
     def test_boundary_assigned_to_harvest(self, ref_params):
-        h0 = h_threshold(ref_params, GAMMA_0)
-        assert partial_csi_rho(ref_params, h0, GAMMA_0) == 1.0
+        h0 = h_threshold(ref_params)
+        assert partial_csi_rho(ref_params, h0) == 1.0
 
     def test_reference_value(self, ref_params):
-        assert float(partial_csi_rho(ref_params, 1.5, GAMMA_0)) == pytest.approx(
+        assert float(partial_csi_rho(ref_params, 1.5)) == pytest.approx(
             PART_RHO_REF, rel=1e-10
         )
 
     def test_matches_fine_grid(self, ref_params):
-        rho = float(partial_csi_rho(ref_params, 1.5, GAMMA_0))
-        grid = oracle_grid_partial(ref_params, 1.5, GAMMA_0, step=1e-5)
+        rho = float(partial_csi_rho(ref_params, 1.5))
+        grid = oracle_grid_partial(ref_params, 1.5, step=1e-5)
         assert abs(rho - grid) <= 2e-5
 
     def test_inside_feasible_set(self):
         rng = substream(24)
         for params, h_sq, _ in random_instances(rng, 500):
-            rho = float(partial_csi_rho(params, h_sq, GAMMA_0))
+            rho = float(partial_csi_rho(params, h_sq))
             if rho == 1.0:
-                assert h_sq <= h_threshold(params, GAMMA_0)
+                assert h_sq <= h_threshold(params)
                 continue
             r_max = float(textbook_rho_max(params, h_sq, GAMMA_0))
             assert 0.0 < rho < r_max
 
     def test_optimal_against_grid(self):
         for params, h_sq, _ in random_instances(substream(25), 200):
-            rho_cf = float(partial_csi_rho(params, h_sq, GAMMA_0))
-            rho_grid = oracle_grid_partial(params, h_sq, GAMMA_0, step=1e-4)
+            rho_cf = float(partial_csi_rho(params, h_sq))
+            rho_grid = oracle_grid_partial(params, h_sq, step=1e-4)
             assert (rho_cf == 1.0) == (rho_grid == 1.0)
             if rho_grid == 1.0:
                 continue
             assert abs(rho_cf - rho_grid) <= 2e-4
-            w_cf = float(w_ratio(params, h_sq, GAMMA_0, rho_cf))
-            w_grid = float(w_ratio(params, h_sq, GAMMA_0, rho_grid))
+            w_cf = float(w_ratio(params, h_sq, rho_cf))
+            w_grid = float(w_ratio(params, h_sq, rho_grid))
             assert w_cf >= w_grid * (1 - 1e-9)
 
     def test_argmin_invariant_in_lambda_g(self, ref_params):
         # the chosen rho minimizes the conditional outage for ANY lambda_g
-        rho = float(partial_csi_rho(ref_params, 1.5, GAMMA_0))
+        rho = float(partial_csi_rho(ref_params, 1.5))
         grid = np.linspace(1e-4, 1 - 1e-4, 9999)
         for lam_g in (0.1, 1.0, 10.0):
-            outs = conditional_outage(ref_params, 1.5, grid, lam_g, GAMMA_0)
+            outs = conditional_outage(ref_params, 1.5, grid, lam_g)
             best = grid[int(np.argmin(outs))]
             assert abs(best - rho) <= 2e-4
 
@@ -150,7 +150,7 @@ class TestPartialCsiClosedForm:
 class TestFixedPolicy:
     @pytest.mark.parametrize("rho0", [0.4, 0.6, 0.8])
     def test_returns_rho0(self, ref_params, rho0):
-        assert decide_rho(Fixed(rho0), ref_params, 1.5, 1.5, GAMMA_0) == rho0
+        assert decide_rho(Fixed(rho0), ref_params, 1.5, 1.5) == rho0
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_rho0_strictly_interior(self, bad):
@@ -160,14 +160,21 @@ class TestFixedPolicy:
     def test_decide_ignores_channel(self, ref_params):
         h = np.array([0.1, 1.0, 10.0])
         g = np.array([5.0, 0.2, 1.0])
-        rho = decide_rho(Fixed(0.6), ref_params, h, g, GAMMA_0)
+        rho = decide_rho(Fixed(0.6), ref_params, h, g)
         np.testing.assert_array_equal(rho, [0.6, 0.6, 0.6])
 
 
 class TestOracles:
     def test_grid_step_precondition(self, ref_params):
-        with pytest.raises(ValueError):
-            oracle_grid_full(ref_params, 1.5, 1.5, step=1e-2)
+        for _ in range(2):  # a rejected step is not cached
+            with pytest.raises(ValueError):
+                oracle_grid_full(ref_params, 1.5, 1.5, step=1e-2)
+
+    def test_grid_is_built_once_per_step_and_read_only(self):
+        grid = policy._rho_grid(1e-4)
+        assert policy._rho_grid(1e-4) is grid
+        assert not grid.flags.writeable
+        assert grid.size == 9999 and grid[0] == 1e-4 and grid[-1] == 1.0 - 1e-4
 
     def test_full_oracle_finds_half_when_a1_zero(self, ref_params):
         g_sq = ref_params.sigma_d_sq / ref_params.sigma_p_sq
@@ -175,19 +182,19 @@ class TestOracles:
         assert abs(rho - 0.5) <= 1e-4
 
     def test_partial_oracle_infeasible(self, ref_params):
-        assert oracle_grid_partial(ref_params, 1.0e-5, GAMMA_0, step=1e-4) == 1.0
+        assert oracle_grid_partial(ref_params, 1.0e-5, step=1e-4) == 1.0
 
     def test_partial_oracle_reads_no_threshold(self, monkeypatch, ref_params):
         # feasibility comes from F(rho) > 0 on the grid, never from H0
         def fail(*args):
             raise AssertionError("the oracle read H0")
-        h0 = h_threshold(ref_params, GAMMA_0)
+        h0 = h_threshold(ref_params)
         monkeypatch.setattr(policy, "h_threshold", fail)
-        assert oracle_grid_partial(ref_params, h0, GAMMA_0, step=1e-4) == 1.0
+        assert oracle_grid_partial(ref_params, h0, step=1e-4) == 1.0
         # just above H0 the feasible interval is (0, textbook_rho_max), about (0, 0.02)
-        rho = oracle_grid_partial(ref_params, 1.01 * h0, GAMMA_0, step=1e-4)
+        rho = oracle_grid_partial(ref_params, 1.01 * h0, step=1e-4)
         assert 0.0 < rho < textbook_rho_max(ref_params, 1.01 * h0, GAMMA_0)
-        assert abs(oracle_grid_partial(ref_params, 1.5, GAMMA_0, step=1e-5) - PART_RHO_REF) <= 2e-5
+        assert abs(oracle_grid_partial(ref_params, 1.5, step=1e-5) - PART_RHO_REF) <= 2e-5
 
 
 class TestPolicyNames:

@@ -68,31 +68,31 @@ class TestOutageMc:
     def test_hopeless_configuration(self, ref_params):
         # nearly all power harvested and tiny fading means: outage almost sure
         fading = FadingParams(lambda_h=1e-6, lambda_g=1e-6)
-        est = outage_mc(ref_params, fading, Fixed(0.999999), GAMMA_0, 20000, 1)
+        est = outage_mc(ref_params, fading, Fixed(0.999999), 20000, 1)
         assert est.p_out > 0.999
 
     def test_deterministic_in_seed(self, ref_params, ref_fading):
-        a = outage_mc(ref_params, ref_fading, Fixed(0.6), GAMMA_0, 50000, 7)
-        b = outage_mc(ref_params, ref_fading, Fixed(0.6), GAMMA_0, 50000, 7)
+        a = outage_mc(ref_params, ref_fading, Fixed(0.6), 50000, 7)
+        b = outage_mc(ref_params, ref_fading, Fixed(0.6), 50000, 7)
         assert a == b
-        c = outage_mc(ref_params, ref_fading, Fixed(0.6), GAMMA_0, 50000, 8)
+        c = outage_mc(ref_params, ref_fading, Fixed(0.6), 50000, 8)
         assert a != c
 
     def test_std_err_is_binomial(self, ref_params, ref_fading):
-        est = outage_mc(ref_params, ref_fading, Fixed(0.4), GAMMA_0, 10000, 3)
+        est = outage_mc(ref_params, ref_fading, Fixed(0.4), 10000, 3)
         expected = math.sqrt(est.p_out * (1 - est.p_out) / est.n)
         assert est.std_err == pytest.approx(expected, rel=1e-12)
 
     def test_harvest_only_fraction_partial_csi(self, ref_params):
         # lambda_h equal to the threshold: P(h <= H0) = 1 - 1/e
-        h0 = h_threshold(ref_params, GAMMA_0)
+        h0 = h_threshold(ref_params)
         fading = FadingParams(lambda_h=h0, lambda_g=1.5)
-        est = outage_mc(ref_params, fading, PartialCSI(), GAMMA_0, 10**5, 4)
+        est = outage_mc(ref_params, fading, PartialCSI(), 10**5, 4)
         assert est.harvest_only_fraction == pytest.approx(1 - math.exp(-1), abs=0.01)
         assert math.isfinite(est.mean_rho)
 
     def test_fixed_policy_rho_stats(self, ref_params, ref_fading):
-        est = outage_mc(ref_params, ref_fading, Fixed(0.6), GAMMA_0, 10000, 5)
+        est = outage_mc(ref_params, ref_fading, Fixed(0.6), 10000, 5)
         assert est.mean_rho == pytest.approx(0.6, rel=1e-12)
         assert est.harvest_only_fraction == 0.0
 
@@ -100,7 +100,7 @@ class TestOutageMc:
         joint = outage_point(
             ref_params, ref_fading, (Fixed(0.6), Fixed(0.8)), GAMMA_0, 50000, 9
         )
-        solo = outage_mc(ref_params, ref_fading, Fixed(0.6), GAMMA_0, 50000, 9)
+        solo = outage_mc(ref_params, ref_fading, Fixed(0.6), 50000, 9)
         assert joint[0] == solo
 
     def test_worker_count_does_not_change_result(self, ref_params, ref_fading):
@@ -125,7 +125,7 @@ class TestOutageMc:
         params = dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s_dbm))
         h, g = sample_channels(substream(13), ref_fading, 1 << 19)
         full = snr(params, h, g, full_csi_rho(params, h, g)) < GAMMA_0
-        partial = snr(params, h, g, partial_csi_rho(params, h, GAMMA_0)) < GAMMA_0
+        partial = snr(params, h, g, partial_csi_rho(params, h)) < GAMMA_0
         assert np.any(full)
         assert np.count_nonzero(full != partial) == 0
 
@@ -140,19 +140,19 @@ class TestOutageMc:
                               sigma_d_sq=sd, rate=3.0, epsilon=epsilon)
         h, g = sample_channels(substream(seed), FadingParams(lambda_h, lambda_g), 4096)
         full = snr(params, h, g, full_csi_rho(params, h, g)) < GAMMA_0
-        partial = snr(params, h, g, partial_csi_rho(params, h, GAMMA_0)) < GAMMA_0
+        partial = snr(params, h, g, partial_csi_rho(params, h)) < GAMMA_0
         assert np.count_nonzero(full != partial) == 0
 
 
-def _reference_mc_batch(params, fading, policies, gamma_0, seed, key, batch_idx, size):
+def _reference_mc_batch(params, fading, policies, seed, key, batch_idx, size):
     """The Monte Carlo batch written plainly: full-batch arrays and snr()."""
     h, g = sample_channels(substream(seed, *key, batch_idx), fading, size)
     stats = []
     for pol in policies:
-        rho = decide_rho(pol, params, h, g, gamma_0)
+        rho = decide_rho(pol, params, h, g)
         transmitting = rho < 1.0
         stats.append((
-            int(np.count_nonzero(snr(params, h, g, rho) < gamma_0)),
+            int(np.count_nonzero(snr(params, h, g, rho) < params.gamma_0)),
             float(np.sum(np.where(transmitting, rho, 0.0))),
             int(np.count_nonzero(transmitting)),
         ))
@@ -172,7 +172,7 @@ class TestMcKernel:
         params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
                               sigma_d_sq=sd, rate=3.0, epsilon=epsilon)
         # two full chunks and a partial one
-        args = (params, FadingParams(lambda_h, lambda_g), self.POLICIES, GAMMA_0,
+        args = (params, FadingParams(lambda_h, lambda_g), self.POLICIES,
                 seed, (3,), 1, 2 * sim.CHUNK + 1001)
         assert sim._mc_batch(args) == _reference_mc_batch(*args)
 
@@ -186,7 +186,7 @@ class TestMcKernel:
 
 
 class TestSampleCount:
-    """n >= 1 is checked once, for every estimator, before any batch runs."""
+    """n >= 1, and outage_point's gamma_0, are checked once, before any batch runs."""
 
     @pytest.fixture(autouse=True)
     def no_batch_runs(self, monkeypatch):
@@ -199,9 +199,13 @@ class TestSampleCount:
         with pytest.raises(ValueError, match="n must be >= 1"):
             outage_point(ref_params, ref_fading, (Fixed(0.5),), GAMMA_0, n=0, seed=1)
 
+    def test_outage_point_rejects_a_gamma_0_other_than_params(self, ref_params, ref_fading):
+        with pytest.raises(ValueError, match="gamma_0"):
+            outage_point(ref_params, ref_fading, (Fixed(0.5),), ref_params.gamma_0 + 1, 10, 1)
+
     def test_outage_semi_analytic(self, ref_params, ref_fading):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            outage_semi_analytic(ref_params, ref_fading, Fixed(0.5), GAMMA_0, n_h=0, seed=1)
+            outage_semi_analytic(ref_params, ref_fading, Fixed(0.5), n_h=0, seed=1)
 
     def test_run_sweep(self, ref_params, ref_fading):
         spec = SweepSpec(variable="p_s_dbm", values=(40.0,), params=ref_params,
@@ -213,25 +217,25 @@ class TestSampleCount:
 class TestSemiAnalytic:
     def test_rejects_full_csi(self, ref_params, ref_fading):
         with pytest.raises(ValueError):
-            outage_semi_analytic(ref_params, ref_fading, FullCSI(), GAMMA_0, 100, 1)
+            outage_semi_analytic(ref_params, ref_fading, FullCSI(), 100, 1)
 
     def test_deterministic(self, ref_params, ref_fading):
-        a = outage_semi_analytic(ref_params, ref_fading, PartialCSI(), GAMMA_0, 10000, 2)
-        b = outage_semi_analytic(ref_params, ref_fading, PartialCSI(), GAMMA_0, 10000, 2)
+        a = outage_semi_analytic(ref_params, ref_fading, PartialCSI(), 10000, 2)
+        b = outage_semi_analytic(ref_params, ref_fading, PartialCSI(), 10000, 2)
         assert a == b
 
     def test_hopeless_channel(self, ref_params):
-        h0 = h_threshold(ref_params, GAMMA_0)
+        h0 = h_threshold(ref_params)
         fading = FadingParams(lambda_h=h0 / 100, lambda_g=1.5)
-        est = outage_semi_analytic(ref_params, fading, PartialCSI(), GAMMA_0, 10000, 3)
+        est = outage_semi_analytic(ref_params, fading, PartialCSI(), 10000, 3)
         assert est.p_out > 0.999
 
     def test_cross_check_with_mc(self, ref_params, ref_fading):
         for eps in (1.0, 0.5):
             params = dataclasses.replace(ref_params, epsilon=eps)
             for policy in (PartialCSI(), Fixed(0.6)):
-                mc = outage_mc(params, ref_fading, policy, GAMMA_0, 4 * 10**5, 11)
-                sa = outage_semi_analytic(params, ref_fading, policy, GAMMA_0, 4 * 10**5, 12)
+                mc = outage_mc(params, ref_fading, policy, 4 * 10**5, 11)
+                sa = outage_semi_analytic(params, ref_fading, policy, 4 * 10**5, 12)
                 limit = 3 * math.hypot(mc.std_err, sa.std_err)
                 assert abs(mc.p_out - sa.p_out) <= limit, (eps, policy)
 

@@ -14,7 +14,7 @@ def test_partial_csi_battery_sees_a_wrong_threshold(monkeypatch, factor):
     # the closed form reads H0 through policy.h_threshold; the grid oracle
     # tests F(rho) > 0 itself, so a scaled H0 shows up as a disagreement
     h_threshold = policy.h_threshold
-    monkeypatch.setattr(policy, "h_threshold", lambda p, g0: factor * h_threshold(p, g0))
+    monkeypatch.setattr(policy, "h_threshold", lambda p: factor * h_threshold(p))
     with np.errstate(invalid="ignore"):  # a too-low H0 takes sqrt of negatives
         assert not battery_partial_csi(count=1000).passed
 
@@ -27,9 +27,9 @@ def test_partial_csi_battery_accepts_a_feasible_interval_narrower_than_the_grid(
     gamma_0 = params.gamma_0
     a = gamma_0 * params.sigma_p_sq / (1.0 - 5e-5)
     h_sq = (a + gamma_0 * params.sigma_r_sq) / params.p_s
-    rho_cf = float(partial_csi_rho(params, h_sq, gamma_0))
-    assert oracle_grid_partial(params, h_sq, gamma_0, STEP) == 1.0
-    assert 0.0 < rho_cf < 5e-5 and f_of_rho(params, h_sq, gamma_0, rho_cf) > 0.0
+    rho_cf = float(partial_csi_rho(params, h_sq))
+    assert oracle_grid_partial(params, h_sq, STEP) == 1.0
+    assert 0.0 < rho_cf < 5e-5 and f_of_rho(params, h_sq, rho_cf) > 0.0
 
     class OneDraw:
         """Stands in for the battery's stream: every uniform draw is log |h|^2."""
