@@ -226,6 +226,7 @@ def cmd_verify(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: {r.detail}")
+        print(f"time {r.name}: {r.seconds:.3f} s", file=sys.stderr)
         failed = failed or not r.passed
     return EXIT_VERIFY if failed else EXIT_OK
 

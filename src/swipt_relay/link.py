@@ -63,12 +63,13 @@ def snr(params, h_sq, g_sq, rho):
     which is strictly positive on [0, 1], so gamma(0) = gamma(1) = 0 exactly.
     """
     rho = np.asarray(rho, dtype=float)
+    info = 1.0 - rho  # the information share, computed once
     ps_h = params.p_s * h_sq + params.sigma_r_sq
-    num = params.p_s * h_sq * g_sq * rho * (1.0 - rho)
+    num = params.p_s * h_sq * g_sq * rho * info
     den = (
-        g_sq * params.sigma_r_sq * rho * (1.0 - rho)
+        g_sq * params.sigma_r_sq * rho * info
         + g_sq * params.sigma_p_sq * rho
-        + params.sigma_d_eff * ((1.0 - rho) + params.sigma_p_sq / ps_h)
+        + params.sigma_d_eff * (info + params.sigma_p_sq / ps_h)
     )
     return num / den
 

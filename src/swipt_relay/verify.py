@@ -6,10 +6,16 @@ against an independent route: grid search for the policy optima, the literal
 beta-form SNR for the algebraic identity, and the semi-analytic estimator for
 the Monte Carlo one. The CLI `verify` command runs all of them; the
 acceptance tests run the same code at full instance counts.
+
+The two grid batteries work on whole arrays: one draw, one closed-form call
+and one comparison per battery, over a record array of the instances'
+parameters. Only the brute-force oracles run per instance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,53 +46,97 @@ DEFAULT_RATE = 3.0  # bits/sec/Hz, gives gamma_0 = 7
 STEP = 1e-4  # rho grid step of both grid batteries
 SNR_TOL = 1e-10  # largest relative gap allowed between the two SNR forms
 
+# Draw ranges, in draw order: P_s and the three noises sigma_r^2, sigma_p^2,
+# sigma_d^2 in dBm, then epsilon; and log |h|^2, log |g|^2 for the gains.
+_PARAM_LO = np.array([20.0, -30.0, -30.0, -30.0, 0.2])
+_PARAM_HI = np.array([50.0, -10.0, -10.0, -10.0, 1.0])
+_LOG_GAIN = (np.log(0.01), np.log(10.0))
+_VIEW_FIELDS = ("p_s", "sigma_r_sq", "sigma_p_sq", "sigma_d_sq", "epsilon",
+                "gamma_0", "sigma_d_eff")
+
 
 @dataclass(frozen=True)
 class BatteryResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time, set by run_all
 
 
-def _random_params(rng) -> SystemParams:
-    """P_s uniform in [20, 50] dBm, noises in [-30, -10] dBm, epsilon in [0.2, 1)."""
-    return SystemParams(
-        p_s=dbm_to_linear(float(rng.uniform(20.0, 50.0))),
-        sigma_r_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
-        sigma_p_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
-        sigma_d_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
-        rate=DEFAULT_RATE,
-        epsilon=float(rng.uniform(0.2, 1.0)),
-    )
+def _scale(u, low, high):
+    """numpy's own uniform map low + (high - low)*u on standard uniforms, so an
+    array from rng.random equals the same rng.uniform calls bit for bit."""
+    return low + (high - low) * u
+
+
+def _params(u):
+    """One SystemParams per row of five standard uniforms (draw order above).
+    dBm goes through the scalar dbm_to_linear: np.power is not bit-identical."""
+    return [
+        SystemParams(
+            p_s=dbm_to_linear(p_s), sigma_r_sq=dbm_to_linear(sr),
+            sigma_p_sq=dbm_to_linear(sp), sigma_d_sq=dbm_to_linear(sd),
+            rate=DEFAULT_RATE, epsilon=eps,
+        )
+        for p_s, sr, sp, sd, eps in _scale(u, _PARAM_LO, _PARAM_HI).tolist()
+    ]
+
+
+def _stack(params):
+    """The instances' fields and the properties link reads, as one record
+    array: view.p_s holds every P_s, and so on, so link and policy functions
+    broadcast over it unchanged. gamma_0 and sigma_d_eff are read from the
+    instances, not recomputed."""
+    get = attrgetter(*_VIEW_FIELDS)
+    return np.array([get(p) for p in params],
+                    dtype=[(f, float) for f in _VIEW_FIELDS]).view(np.recarray)
+
+
+def _worst(x, start=0.0):
+    """max(start, max(x)) that propagates a NaN, so a NaN fails the battery."""
+    return float(np.max(x, initial=start))
+
+
+def _draw_full(rng, count):
+    """count (params list, |h|^2, |g|^2) draws; the gains log-uniform in [0.01, 10]."""
+    u = rng.random((count, 7))
+    h_sq, g_sq = np.exp(_scale(u[:, 5:], *_LOG_GAIN)).T
+    return _params(u[:, :5]), h_sq, g_sq
+
+
+def _draw_partial(rng, count):
+    """count (params list, |h|^2) draws, |h|^2 log-uniform on [H0/10, 10] for
+    each instance's own threshold H0."""
+    u = rng.random((count, 6))
+    params = _params(u[:, :5])
+    low = np.log(h_threshold(_stack(params)) / 10.0)
+    return params, np.exp(_scale(u[:, 5], low, _LOG_GAIN[1]))
 
 
 def random_instances(rng, count):
     """Random (params, h_sq, g_sq) instances covering a wide operating range:
-    params from _random_params, channel gains log-uniform in [0.01, 10]."""
-    out = []
-    for _ in range(count):
-        params = _random_params(rng)
-        h_sq = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
-        g_sq = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
-        out.append((params, h_sq, g_sq))
-    return out
+    P_s uniform in [20, 50] dBm, noises in [-30, -10] dBm, epsilon in
+    [0.2, 1), channel gains log-uniform in [0.01, 10]."""
+    params, h_sq, g_sq = _draw_full(rng, count)
+    return list(zip(params, h_sq.tolist(), g_sq.tolist()))
 
 
 def battery_full_csi(count=10_000, seed=2024) -> BatteryResult:
     """Closed-form SNR-optimal rho vs grid argmax.
 
     Checks |rho_closed - rho_grid| <= 2*STEP and that the closed form's SNR is
-    never below the grid's best by more than 1e-9 relative.
+    never below the grid's best by more than 1e-9 relative. The closed form
+    and both SNRs take one array call each; only the oracle runs per instance.
     """
-    rng = substream(seed)
-    worst_drho, worst_rel = 0.0, 0.0
-    for params, h_sq, g_sq in random_instances(rng, count):
-        rho_cf = float(full_csi_rho(params, h_sq, g_sq))
-        rho_grid = oracle_grid_full(params, h_sq, g_sq, STEP)
-        snr_cf = float(snr(params, h_sq, g_sq, rho_cf))
-        snr_grid = float(snr(params, h_sq, g_sq, rho_grid))
-        worst_drho = max(worst_drho, abs(rho_cf - rho_grid))
-        worst_rel = max(worst_rel, (snr_grid - snr_cf) / snr_grid)
+    params, h_sq, g_sq = _draw_full(substream(seed), count)
+    view = _stack(params)
+    rho_cf = full_csi_rho(view, h_sq, g_sq)
+    rho_grid = np.array([oracle_grid_full(p, h, g, STEP)
+                         for p, h, g in zip(params, h_sq.tolist(), g_sq.tolist())])
+    snr_cf = snr(view, h_sq, g_sq, rho_cf)
+    snr_grid = snr(view, h_sq, g_sq, rho_grid)
+    worst_drho = _worst(np.abs(rho_cf - rho_grid))
+    worst_rel = _worst((snr_grid - snr_cf) / snr_grid)
     passed = worst_drho <= 2 * STEP and worst_rel <= 1e-9
     return BatteryResult(
         "full_csi_vs_grid", passed,
@@ -100,24 +150,22 @@ def battery_partial_csi(count=10_000, seed=2025) -> BatteryResult:
     |h|^2 is log-uniform on [H0/10, 10], so about one draw in six lies at or
     below the instance's threshold H0 and must be harvest-only. Where no grid
     point is feasible, a feasible closed-form rho passes too."""
-    rng = substream(seed)
-    worst_drho, worst_rel, bad_infeasible = 0.0, 0.0, 0
-    for _ in range(count):
-        params = _random_params(rng)
-        low = np.log(h_threshold(params) / 10.0)
-        h_sq = float(np.exp(rng.uniform(low, np.log(10.0))))
-        rho_cf = float(partial_csi_rho(params, h_sq))
-        rho_grid = oracle_grid_partial(params, h_sq, STEP)
-        if rho_grid == 1.0:  # harvest-only, or a feasible interval narrower than STEP
-            feasible = 0.0 < rho_cf < 1.0 and f_of_rho(params, h_sq, rho_cf) > 0.0
-            if rho_cf != 1.0 and not feasible:
-                bad_infeasible += 1
-            continue
-        worst_drho = max(worst_drho, abs(rho_cf - rho_grid))
-        w_cf = float(w_ratio(params, h_sq, rho_cf))
-        w_grid = float(w_ratio(params, h_sq, rho_grid))
-        if w_grid > 0:
-            worst_rel = max(worst_rel, (w_grid - w_cf) / w_grid)
+    params, h_sq = _draw_partial(substream(seed), count)
+    view = _stack(params)
+    rho_cf = partial_csi_rho(view, h_sq)
+    rho_grid = np.array([oracle_grid_partial(p, h, STEP)
+                         for p, h in zip(params, h_sq.tolist())])
+    # rho_grid == 1: harvest-only, or a feasible interval narrower than STEP
+    harvest = rho_grid == 1.0
+    feasible = (0.0 < rho_cf) & (rho_cf < 1.0) & (f_of_rho(view, h_sq, rho_cf) > 0.0)
+    bad_infeasible = int(np.count_nonzero(harvest & (rho_cf != 1.0) & ~feasible))
+    # the rest: the grid transmits at a feasible rho, so W(rho_grid) > 0
+    sent = ~harvest
+    view, h_sq, rho_cf, rho_grid = view[sent], h_sq[sent], rho_cf[sent], rho_grid[sent]
+    worst_drho = _worst(np.abs(rho_cf - rho_grid))
+    w_cf = w_ratio(view, h_sq, rho_cf)
+    w_grid = w_ratio(view, h_sq, rho_grid)
+    worst_rel = _worst((w_grid - w_cf) / w_grid)
     passed = worst_drho <= 2 * STEP and worst_rel <= 1e-9 and bad_infeasible == 0
     return BatteryResult(
         "partial_csi_vs_grid", passed,
@@ -135,13 +183,13 @@ def battery_snr_identity(count=100_000, seed=2026) -> BatteryResult:
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        params = _random_params(rng)
-        h_sq = np.exp(rng.uniform(np.log(0.01), np.log(10.0), m))
-        g_sq = np.exp(rng.uniform(np.log(0.01), np.log(10.0), m))
+        params = _params(rng.random((1, 5)))[0]
+        h_sq = np.exp(rng.uniform(*_LOG_GAIN, m))
+        g_sq = np.exp(rng.uniform(*_LOG_GAIN, m))
         rho = rng.uniform(1e-6, 1.0 - 1e-6, m)
         a = snr(params, h_sq, g_sq, rho)
         b = snr_via_beta(params, h_sq, g_sq, rho)
-        worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
+        worst = _worst(np.abs(a - b) / np.abs(b), start=worst)
     passed = worst <= SNR_TOL
     return BatteryResult("snr_identity", passed, f"count={count} max_rel_err={worst:.3g}")
 
@@ -169,11 +217,18 @@ def battery_estimator_cross_check(n=200_000, seed=2027) -> BatteryResult:
 
 
 def run_all(quick=False):
-    """Run every battery; `quick` shrinks instance counts, not coverage."""
+    """Run every battery, each result carrying its wall time; `quick` shrinks
+    instance counts, not coverage."""
     scale = 10 if quick else 1
-    return [
-        battery_full_csi(count=10_000 // scale),
-        battery_partial_csi(count=10_000 // scale),
-        battery_snr_identity(count=100_000 // scale),
-        battery_estimator_cross_check(n=200_000 // scale),
+    runs = [
+        (battery_full_csi, {"count": 10_000 // scale}),
+        (battery_partial_csi, {"count": 10_000 // scale}),
+        (battery_snr_identity, {"count": 100_000 // scale}),
+        (battery_estimator_cross_check, {"n": 200_000 // scale}),
     ]
+    results = []
+    for battery, kwargs in runs:
+        t0 = time.perf_counter()
+        result = battery(**kwargs)
+        results.append(replace(result, seconds=time.perf_counter() - t0))
+    return results

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from swipt_relay import cli
@@ -194,18 +195,40 @@ class TestGainsCommand:
         assert len(data) == 1 + 2
 
 
+# `swipt-relay verify --quick` stdout as the per-instance batteries printed it;
+# the array batteries must reproduce it byte for byte.
+VERIFY_QUICK_STDOUT = """\
+[PASS] full_csi_vs_grid: count=1000 max|drho|=4.99e-05 max_rel_snr_deficit=0
+[PASS] partial_csi_vs_grid: count=1000 max|drho|=5.06e-05 max_rel_w_deficit=0 bad_infeasible=0
+[PASS] snr_identity: count=10000 max_rel_err=7.42e-16
+[PASS] mc_vs_semi_analytic: PartialCSI: gap=0.000135 limit=0.000359; Fixed: gap=0.00015 limit=0.000393
+"""
+
+
 class TestVerify:
     def test_quick_passes(self, capsys):
         assert main(["verify", "--quick"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+        assert capsys.readouterr().out == VERIFY_QUICK_STDOUT
+
+    def test_battery_wall_times_go_to_stderr(self, capsys):
+        assert main(["verify", "--quick"]) == EXIT_OK
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        names = ["full_csi_vs_grid", "partial_csi_vs_grid", "snr_identity",
+                 "mc_vs_semi_analytic"]
+        assert [ln.split(":")[0] for ln in lines] == [f"time {n}" for n in names]
+        for ln in lines:
+            value, unit = ln.split(": ")[1].split()
+            assert float(value) >= 0.0 and unit == "s"
+        assert "time " not in captured.out
 
     def test_fault_injection_fails(self, monkeypatch, capsys):
-        # a full-CSI rule 0.05 off the optimum must fail its battery
+        # a full-CSI rule 0.05 off the optimum must fail its battery; the
+        # battery hands the closed form whole arrays, hence np.minimum
         optimum = cli.verify_mod.full_csi_rho
 
         def off_optimum(params, h_sq, g_sq):
-            return min(optimum(params, h_sq, g_sq) + 0.05, 0.999999)
+            return np.minimum(optimum(params, h_sq, g_sq) + 0.05, 0.999999)
 
         monkeypatch.setattr(cli.verify_mod, "full_csi_rho", off_optimum)
         assert main(["verify", "--quick"]) == EXIT_VERIFY

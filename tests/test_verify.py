@@ -1,12 +1,23 @@
-import math
-
 import numpy as np
 import pytest
 
 from swipt_relay import policy, verify
-from swipt_relay.link import f_of_rho
-from swipt_relay.policy import oracle_grid_partial, partial_csi_rho
-from swipt_relay.verify import STEP, battery_partial_csi
+from swipt_relay.channel import substream
+from swipt_relay.link import f_of_rho, h_threshold, snr, w_ratio
+from swipt_relay.params import SystemParams, dbm_to_linear
+from swipt_relay.policy import (
+    full_csi_rho,
+    oracle_grid_full,
+    oracle_grid_partial,
+    partial_csi_rho,
+)
+from swipt_relay.verify import (
+    DEFAULT_RATE,
+    STEP,
+    battery_full_csi,
+    battery_partial_csi,
+    battery_snr_identity,
+)
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -31,13 +42,147 @@ def test_partial_csi_battery_accepts_a_feasible_interval_narrower_than_the_grid(
     assert oracle_grid_partial(params, h_sq, STEP) == 1.0
     assert 0.0 < rho_cf < 5e-5 and f_of_rho(params, h_sq, rho_cf) > 0.0
 
-    class OneDraw:
-        """Stands in for the battery's stream: every uniform draw is log |h|^2."""
-        def uniform(self, low, high):
-            return math.log(h_sq)
-
-    monkeypatch.setattr(verify, "substream", lambda seed: OneDraw())
-    monkeypatch.setattr(verify, "_random_params", lambda rng: params)
+    # the battery's draw step hands over this one instance
+    monkeypatch.setattr(verify, "_draw_partial", lambda rng, count: ([params], np.array([h_sq])))
     result = battery_partial_csi(count=1)
     assert result.passed, result.detail
     assert "bad_infeasible=0" in result.detail
+
+
+# A NaN from a closed form must fail its battery and show in the detail line,
+# not vanish in a max(). |h|^2 > 5 is about one draw in ten, and always above
+# H0, so in the partial battery it hits transmitting draws only.
+def _nan_where_h_above_5(rule):
+    def patched(params, h_sq, *rest):
+        return np.where(np.asarray(h_sq) > 5.0, np.nan, rule(params, h_sq, *rest))
+    return patched
+
+
+def test_full_csi_battery_fails_on_a_nan_rho(monkeypatch):
+    monkeypatch.setattr(verify, "full_csi_rho", _nan_where_h_above_5(full_csi_rho))
+    result = battery_full_csi(count=1000)
+    assert not result.passed
+    assert "max|drho|=nan" in result.detail
+
+
+def test_partial_csi_battery_fails_on_a_nan_rho(monkeypatch):
+    monkeypatch.setattr(verify, "partial_csi_rho", _nan_where_h_above_5(partial_csi_rho))
+    result = battery_partial_csi(count=1000)
+    assert not result.passed
+    assert "max|drho|=nan" in result.detail
+
+
+def test_snr_identity_battery_fails_on_a_nan_snr(monkeypatch):
+    monkeypatch.setattr(verify, "snr", lambda params, h_sq, g_sq, rho: np.where(
+        h_sq > 5.0, np.nan, snr(params, h_sq, g_sq, rho)))
+    result = battery_snr_identity(count=30_000)
+    assert not result.passed
+    assert "max_rel_err=nan" in result.detail
+
+
+# The per-instance batteries as they were before they took whole arrays: the
+# reference the array batteries must reproduce exactly.
+def _scalar_params(rng):
+    return SystemParams(
+        p_s=dbm_to_linear(float(rng.uniform(20.0, 50.0))),
+        sigma_r_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
+        sigma_p_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
+        sigma_d_sq=dbm_to_linear(float(rng.uniform(-30.0, -10.0))),
+        rate=DEFAULT_RATE,
+        epsilon=float(rng.uniform(0.2, 1.0)),
+    )
+
+
+def _scalar_full(count, seed):
+    rng = substream(seed)
+    rows, worst_drho, worst_rel = [], 0.0, 0.0
+    for _ in range(count):
+        params = _scalar_params(rng)
+        h_sq = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
+        g_sq = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
+        rho_cf = float(full_csi_rho(params, h_sq, g_sq))
+        rho_grid = oracle_grid_full(params, h_sq, g_sq, STEP)
+        snr_cf = float(snr(params, h_sq, g_sq, rho_cf))
+        snr_grid = float(snr(params, h_sq, g_sq, rho_grid))
+        worst_drho = max(worst_drho, abs(rho_cf - rho_grid))
+        worst_rel = max(worst_rel, (snr_grid - snr_cf) / snr_grid)
+        rows.append((params, h_sq, g_sq, rho_cf, rho_grid))
+    detail = f"count={count} max|drho|={worst_drho:.3g} max_rel_snr_deficit={worst_rel:.3g}"
+    return rows, detail
+
+
+def _scalar_partial(count, seed):
+    rng = substream(seed)
+    rows, worst_drho, worst_rel, bad_infeasible = [], 0.0, 0.0, 0
+    for _ in range(count):
+        params = _scalar_params(rng)
+        low = np.log(h_threshold(params) / 10.0)
+        h_sq = float(np.exp(rng.uniform(low, np.log(10.0))))
+        rho_cf = float(partial_csi_rho(params, h_sq))
+        rho_grid = oracle_grid_partial(params, h_sq, STEP)
+        rows.append((params, h_sq, rho_cf, rho_grid))
+        if rho_grid == 1.0:
+            feasible = 0.0 < rho_cf < 1.0 and f_of_rho(params, h_sq, rho_cf) > 0.0
+            if rho_cf != 1.0 and not feasible:
+                bad_infeasible += 1
+            continue
+        worst_drho = max(worst_drho, abs(rho_cf - rho_grid))
+        w_cf = float(w_ratio(params, h_sq, rho_cf))
+        w_grid = float(w_ratio(params, h_sq, rho_grid))
+        if w_grid > 0:
+            worst_rel = max(worst_rel, (w_grid - w_cf) / w_grid)
+    detail = (f"count={count} max|drho|={worst_drho:.3g} max_rel_w_deficit={worst_rel:.3g} "
+              f"bad_infeasible={bad_infeasible}")
+    return rows, detail
+
+
+def _recording(monkeypatch, name, log):
+    """Replace verify.<name> by a wrapper that appends (args, result) to log."""
+    fn = getattr(verify, name)
+
+    def recorded(*args):
+        result = fn(*args)
+        log.append((args, result))
+        return result
+    monkeypatch.setattr(verify, name, recorded)
+
+
+@pytest.mark.parametrize("seed", [2024, 2025, 4242])
+def test_full_csi_battery_matches_the_scalar_loop(monkeypatch, seed):
+    rows, detail = _scalar_full(1000, seed)
+    closed, oracle = [], []
+    _recording(monkeypatch, "full_csi_rho", closed)
+    _recording(monkeypatch, "oracle_grid_full", oracle)
+    result = battery_full_csi(count=1000, seed=seed)
+    assert result.detail == detail
+    [((_, h_sq, g_sq), rho_cf)] = closed
+    assert [args[:3] for args, _ in oracle] == [row[:3] for row in rows]
+    assert h_sq.tolist() == [row[1] for row in rows]
+    assert g_sq.tolist() == [row[2] for row in rows]
+    assert rho_cf.tolist() == [row[3] for row in rows]
+    assert [rho for _, rho in oracle] == [row[4] for row in rows]
+
+
+@pytest.mark.parametrize("seed", [2024, 2025, 4242])
+def test_partial_csi_battery_matches_the_scalar_loop(monkeypatch, seed):
+    rows, detail = _scalar_partial(1000, seed)
+    closed, oracle = [], []
+    _recording(monkeypatch, "partial_csi_rho", closed)
+    _recording(monkeypatch, "oracle_grid_partial", oracle)
+    result = battery_partial_csi(count=1000, seed=seed)
+    assert result.detail == detail
+    [((_, h_sq), rho_cf)] = closed
+    assert [args[:2] for args, _ in oracle] == [row[:2] for row in rows]
+    assert h_sq.tolist() == [row[1] for row in rows]
+    assert rho_cf.tolist() == [row[2] for row in rows]
+    assert [rho for _, rho in oracle] == [row[3] for row in rows]
+
+
+def test_random_instances_match_the_scalar_draws():
+    rng, ref = substream(7), substream(7)
+    expected = [(_scalar_params(ref),
+                 float(np.exp(ref.uniform(np.log(0.01), np.log(10.0)))),
+                 float(np.exp(ref.uniform(np.log(0.01), np.log(10.0)))))
+                for _ in range(300)]
+    assert verify.random_instances(rng, 300) == expected
+    assert rng.random() == ref.random()  # the stream is left where it was
