@@ -100,6 +100,11 @@ def full_csi_rho(params, h_sq, g_sq):
     loses digits).
     """
     _, q = margin_terms(params, h_sq)
+    return _full_csi_rho(params, q, g_sq)
+
+
+def _full_csi_rho(params, q, g_sq):
+    """full_csi_rho from the margin term q at |h|^2, for a caller that has it."""
     c1 = params.sigma_d_eff * (1.0 + q)
     return c1 / (c1 + np.sqrt(c1 * (params.sigma_d_eff * q + g_sq * params.sigma_p_sq)))
 
@@ -109,22 +114,31 @@ def partial_csi_rho(params, h_sq):
     F(rho)/sigma_0^2(rho): rho = (1 + q) - sqrt((1 + q)*(q + gamma_0 sp^2/a)),
     or 1 (harvest only) at or below the feasibility threshold H0. Broadcasts."""
     h_sq = np.asarray(h_sq, dtype=float)
-    a, q = margin_terms(params, h_sq)
+    return _partial_csi_rho(params, h_sq, *margin_terms(params, h_sq))
+
+
+def _partial_csi_rho(params, h_sq, a, q):
+    """partial_csi_rho from the margin terms (a, q) at the array h_sq."""
     feasible = h_sq > h_threshold(params)
     a = np.where(feasible, a, 1.0)  # a > 0 whenever feasible; mask the rest
     rho = (1.0 + q) - np.sqrt((1.0 + q) * (q + params.gamma_0 * params.sigma_p_sq / a))
     return np.where(feasible, rho, 1.0)
 
 
-def decide_rho(policy: Policy, params, h_sq, g_sq):
-    """Per-realization rho for any policy; broadcasts over channel arrays."""
+def decide_rho(policy: Policy, params, h_sq, g_sq, *, terms=None):
+    """Per-realization rho for any policy; broadcasts over channel arrays.
+    terms, if given, is margin_terms(params, h_sq) for an array h_sq, which
+    the dynamic rules then use instead of computing it again."""
     if isinstance(policy, Fixed):
         return np.broadcast_to(policy.rho0, np.shape(h_sq)).astype(float) \
             if np.ndim(h_sq) else policy.rho0
+    if terms is None:
+        h_sq = np.asarray(h_sq, dtype=float)
+        terms = margin_terms(params, h_sq)
     if isinstance(policy, FullCSI):
-        return full_csi_rho(params, h_sq, g_sq)
+        return _full_csi_rho(params, terms[1], g_sq)
     if isinstance(policy, PartialCSI):
-        return partial_csi_rho(params, h_sq)
+        return _partial_csi_rho(params, h_sq, *terms)
     raise TypeError(f"unknown policy type: {policy!r}")
 
 

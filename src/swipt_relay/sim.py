@@ -13,7 +13,9 @@ The Monte Carlo kernel draws each batch in full and then evaluates it in
 slices of CHUNK draws, so the temporaries stay in cache. Chunking does not
 change results: the per-draw math is elementwise IEEE arithmetic, so a draw's
 value does not depend on the slice it sits in, and every sum (the rho sum
-included) runs over the full batch.
+included) runs over the full batch. In each slice a conservative screen picks
+the draws that get the exact outage test; every other draw is provably not in
+outage under any policy, so no count depends on the screen (see _mc_batch).
 """
 from __future__ import annotations
 
@@ -53,6 +55,9 @@ BATCH_SIZE = 1 << 19
 
 # Draws per slice when _mc_batch evaluates a batch; no result depends on it.
 CHUNK = 1 << 14
+
+# Relative slack on the outage screen's two bounds (see _mc_batch).
+SCREEN_SLACK = 1e-9
 
 # The gains table compares these policies, in column order, with its baseline.
 GAIN_BASELINE = "fixed:0.4"
@@ -112,35 +117,64 @@ def _mc_batch(args):
 
     Returns (n_out, rho_sum, n_tx) per policy. Outage is gamma(rho) < gamma_0
     in margin form, |g|^2 F(rho) < gamma_0 sigma_0^2(rho): both sides times the
-    SNR's positive denominator, so no division, and the |h|^2 terms are shared
-    by all policies.
+    SNR's positive denominator, so no division, and the |h|^2 terms (a, q) are
+    shared by all policies.
+
+    Outage is rare wherever the curves are read, so each slice first screens
+    its draws with one bound that holds for every policy, and the exact margin
+    test runs only on the draws the screen keeps (the candidates). With
+    k_p = gamma_0 sp^2, k_d = gamma_0 sd^2 and R = {1/2} plus every Fixed rho0,
+    a draw is a candidate iff a < A* or |g|^2 a < K (1 + q), where
+    A* = max over R of 2 k_p/(1 - rho) and K = max over R of 2 k_d/(rho (1 - rho)),
+    each times (1 + SCREEN_SLACK). No outage is dropped:
+
+    * For rho in R and a >= 2 k_p/(1 - rho): F(rho) >= rho (1 - rho) a/2 and
+      gamma_0 sigma_0^2(rho) = k_d (1 - rho + q) <= k_d (1 + q), so outage at
+      rho implies |g|^2 a < 2 k_d (1 + q)/(rho (1 - rho)). A non-candidate is
+      therefore in outage at no rho of R.
+    * Full CSI maximizes the SNR and partial CSI maximizes W = F/sigma_0^2, so
+      an outage of either implies outage at rho = 1/2. That is why 1/2 is in
+      R, also when no Fixed policy is.
+    * A harvest-only draw (|h|^2 <= H0) has a <= k_p < A*, so it is a candidate.
+    * The slack dwarfs the few-ulp rounding of the float test, also at the
+      computed rather than exact optimum rho: the SNR is flat to second
+      order there.
+
+    So every count equals the unscreened test's. Every dynamic rho is still
+    computed on every draw, for the rho sum and n_tx.
     """
     params, fading, policies, seed, key, batch_idx, size = args
     rng = substream(seed, *key, batch_idx)
     h_sq, g_sq = sample_channels(rng, fading, size)
     k_p = params.gamma_0 * params.sigma_p_sq
     k_d = params.gamma_0 * params.sigma_d_eff
+    # A* and K of the screen: a draw skips the exact test iff a >= a_min and g*a >= k_min*(1 + q).
+    screen_rhos = [0.5] + [pol.rho0 for pol in policies if isinstance(pol, Fixed)]
+    a_min = max(2.0 * k_p / (1.0 - r) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
+    k_min = max(2.0 * k_d / (r * (1.0 - r)) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     # A fixed rho0 stays one number. Any other rho is kept for the whole batch,
     # zeroed where the relay only harvests, so its sum is one np.sum over the batch.
     tx_rho = [None if isinstance(pol, Fixed) else np.empty(size) for pol in policies]
     n_out = [0] * len(policies)
     n_tx = [0] * len(policies)
-    # Per slice, F(rho) = rho*((1 - rho)*a - k_p) and gamma_0 sigma_0^2(rho) = k_d*(1 - rho) + c.
+    # Per candidate, F(rho) = rho*((1 - rho)*a - k_p) and gamma_0 sigma_0^2(rho) = k_d*(1 - rho) + c.
     for lo in range(0, size, CHUNK):
         h, g = h_sq[lo:lo + CHUNK], g_sq[lo:lo + CHUNK]
         a, q = margin_terms(params, h)
-        c = k_d * q
+        idx = np.flatnonzero((a < a_min) | (g * a < k_min * (1.0 + q)))
+        a_c, g_c, c = a[idx], g[idx], k_d * q[idx]
         for j, pol in enumerate(policies):
             if tx_rho[j] is None:
                 rho = pol.rho0
             else:
-                rho = decide_rho(pol, params, h, g)
+                rho = decide_rho(pol, params, h, g, terms=(a, q))
                 transmitting = rho < 1.0
                 n_tx[j] += int(np.count_nonzero(transmitting))
                 tx_rho[j][lo:lo + CHUNK] = np.where(transmitting, rho, 0.0)
+                rho = rho[idx]
             one_minus = 1.0 - rho
-            f = rho * (one_minus * a - k_p)
-            n_out[j] += int(np.count_nonzero(g * f < k_d * one_minus + c))
+            f = rho * (one_minus * a_c - k_p)
+            n_out[j] += int(np.count_nonzero(g_c * f < k_d * one_minus + c))
     stats = []
     for pol, rho, out, tx in zip(policies, tx_rho, n_out, n_tx):
         if rho is None:  # rho0 < 1, so every draw transmits

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from swipt_relay import sim
 from swipt_relay.channel import FadingParams, sample_channels, substream
-from swipt_relay.link import h_threshold, snr
+from swipt_relay.link import h_threshold, margin_terms, snr
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import (
     Fixed,
@@ -183,6 +183,77 @@ class TestMcKernel:
         expected = outage_point(ref_params, ref_fading, self.POLICIES, GAMMA_0, n, 14)
         monkeypatch.setattr(sim, "CHUNK", chunk)
         assert outage_point(ref_params, ref_fading, self.POLICIES, GAMMA_0, n, 14) == expected
+
+
+def _unscreened_mc_batch(params, policies, h, g):
+    """_mc_batch's margin-form outage test, g*F(rho) < k_d*(1 - rho) + k_d*q,
+    applied to every draw with no screen."""
+    a, q = margin_terms(params, h)
+    k_p = params.gamma_0 * params.sigma_p_sq
+    k_d = params.gamma_0 * params.sigma_d_eff
+    stats = []
+    for pol in policies:
+        rho = decide_rho(pol, params, h, g)
+        one_minus = 1.0 - rho
+        transmitting = rho < 1.0
+        stats.append((
+            int(np.count_nonzero(g * (rho * (one_minus * a - k_p)) < k_d * one_minus + k_d * q)),
+            float(np.sum(np.where(transmitting, rho, 0.0))),
+            int(np.count_nonzero(transmitting)),
+        ))
+    return stats
+
+
+def _boundary_draws(params, policies, seed, size):
+    """(|h|^2, |g|^2) draws where most |g|^2 lie within 4 ulps of some policy's
+    margin-form outage boundary. |h|^2 is mostly log-uniform on [H0/4, 1e4 H0],
+    where the screen's bounds are tightest, and H0 itself or its neighbours for
+    a few draws. The dynamic rules share partial CSI's boundary, since full
+    CSI is in outage on exactly the draws where partial CSI is."""
+    rng = np.random.default_rng(seed)
+    h0 = h_threshold(params)
+    h = h0 * np.exp(rng.uniform(np.log(0.25), np.log(1e4), size))
+    h[:size // 8] = rng.exponential(1.0, size // 8)
+    h[rng.integers(size, size=64)] = h0
+    h[-3:] = np.nextafter(h0, 0.0), h0, np.nextafter(h0, np.inf)
+    rules = [pol.rho0 for pol in policies if isinstance(pol, Fixed)]
+    if len(rules) < len(policies):
+        rules.append(partial_csi_rho(params, h))
+    rho = np.choose(rng.integers(len(rules), size=size), rules)
+    a, q = margin_terms(params, h)
+    k_d = params.gamma_0 * params.sigma_d_eff
+    f = rho * ((1.0 - rho) * a - params.gamma_0 * params.sigma_p_sq)
+    g_edge = (k_d * (1.0 - rho) + k_d * q) / np.where(f > 0.0, f, 1.0)
+    g_edge += rng.integers(-4, 5, size) * np.spacing(g_edge)
+    # a few ordinary draws, and every draw where the rule is infeasible
+    ordinary = (f <= 0.0) | (rng.random(size) < 0.05)
+    return h, np.where(ordinary, rng.exponential(1.0, size), g_edge)
+
+
+class TestOutageScreen:
+    """_mc_batch runs the exact outage test only on the draws its screen keeps;
+    every count must equal the unscreened test's, draw for draw at the boundary."""
+    SHIPPED = (FullCSI(), PartialCSI(), Fixed(0.4), Fixed(0.6), Fixed(0.8))
+    EXTREME_FIXED = (Fixed(0.001), PartialCSI(), Fixed(0.999))
+    DYNAMIC = (FullCSI(), PartialCSI())
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(p_s_dbm=st.floats(0.0, 60.0), noise_dbm=st.tuples(*[st.floats(-40.0, -5.0)] * 3),
+           rate=st.floats(0.5, 6.0), epsilon=st.floats(0.05, 1.0),
+           policies=st.one_of(st.sampled_from([SHIPPED, EXTREME_FIXED, DYNAMIC]),
+                              st.floats(0.001, 0.999).map(lambda r: (Fixed(r),))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_counts_equal_the_unscreened_test_at_the_boundary(
+            self, p_s_dbm, noise_dbm, rate, epsilon, policies, seed):
+        sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
+        params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
+                              sigma_d_sq=sd, rate=rate, epsilon=epsilon)
+        size = sim.CHUNK + 999  # a full slice and a short one
+        h, g = _boundary_draws(params, policies, seed, size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "sample_channels", lambda rng, fading, n: (h.copy(), g.copy()))
+            got = sim._mc_batch((params, FadingParams(1.0, 1.0), policies, seed, (), 0, size))
+        assert got == _unscreened_mc_batch(params, policies, h, g)
 
 
 class TestSampleCount:
