@@ -47,9 +47,10 @@ def substream(parent_seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_gains(rng: np.random.Generator, lam: float, n: int) -> np.ndarray:
-    """Draw n exponential power gains with mean lam by inverse CDF."""
-    u = rng.random(n)  # in [0, 1); 1-u is in (0, 1], so log never sees 0
+def sample_gains(rng: np.random.Generator, lam: float, n: int, out=None) -> np.ndarray:
+    """Draw n exponential power gains with mean lam by inverse CDF, into out
+    (a float64 array of n elements) if given. Returns the gains."""
+    u = rng.random(n, out=out)  # in [0, 1); 1-u is in (0, 1], so log never sees 0
     # -lam * log1p(-u), computed in u's own buffer: the same operations, so the
     # same bits, with no temporary arrays.
     np.negative(u, out=u)
@@ -58,8 +59,9 @@ def sample_gains(rng: np.random.Generator, lam: float, n: int) -> np.ndarray:
     return u
 
 
-def sample_channels(rng, fading: FadingParams, n: int):
-    """Draw n i.i.d. (|h|^2, |g|^2) pairs. The h block is always drawn first."""
-    h_sq = sample_gains(rng, fading.lambda_h, n)
-    g_sq = sample_gains(rng, fading.lambda_g, n)
-    return h_sq, g_sq
+def sample_channels(rng, fading: FadingParams, n: int, out=(None, None)):
+    """Draw n i.i.d. (|h|^2, |g|^2) pairs, into the pair of arrays out if
+    given. The h block is always drawn first."""
+    h_out, g_out = out
+    return (sample_gains(rng, fading.lambda_h, n, h_out),
+            sample_gains(rng, fading.lambda_g, n, g_out))

@@ -101,18 +101,19 @@ def margin_terms(params, h_sq):
     return a, params.sigma_p_sq / (ps_h + params.sigma_r_sq)
 
 
-def f_of_rho(params, h_sq, rho):
+def f_of_rho(params, h_sq, rho, *, terms=None):
     """F(rho), the g-independent numerator margin of the outage condition:
-    the feasible set is exactly {rho in (0,1) : F(rho) > 0}."""
-    a, _ = margin_terms(params, h_sq)
+    the feasible set is exactly {rho in (0,1) : F(rho) > 0}. terms, if given,
+    is margin_terms(params, h_sq); sigma0_sq and conditional_outage take it too."""
+    a, _ = margin_terms(params, h_sq) if terms is None else terms
     rho = np.asarray(rho, dtype=float)
     return rho * ((1.0 - rho) * a - params.gamma_0 * params.sigma_p_sq)
 
 
-def sigma0_sq(params, h_sq, rho):
+def sigma0_sq(params, h_sq, rho, *, terms=None):
     """Effective noise sigma_0^2(rho); strictly positive on (0, 1] and affine
     decreasing in rho."""
-    _, q = margin_terms(params, h_sq)
+    _, q = margin_terms(params, h_sq) if terms is None else terms
     return params.sigma_d_eff * (1.0 - np.asarray(rho, dtype=float) + q)
 
 
@@ -130,15 +131,17 @@ def w_ratio(params, h_sq, rho):
     return f_of_rho(params, h_sq, rho) / sigma0_sq(params, h_sq, rho)
 
 
-def conditional_outage(params, h_sq, rho, lambda_g):
+def conditional_outage(params, h_sq, rho, lambda_g, *, terms=None):
     """Outage probability given |h|^2 and rho, averaged over the exponential g.
 
     For feasible rho (F(rho) > 0) this is 1 - exp(-gamma_0*sigma_0^2/(F*lambda_g));
     for infeasible rho (including rho = 1) the outage is certain and the value
     is exactly 1.
     """
-    f = f_of_rho(params, h_sq, rho)
-    s0 = sigma0_sq(params, h_sq, rho)
+    if terms is None:
+        terms = margin_terms(params, h_sq)
+    f = f_of_rho(params, h_sq, rho, terms=terms)
+    s0 = sigma0_sq(params, h_sq, rho, terms=terms)
     feasible = f > 0.0
     safe_f = np.where(feasible, f, 1.0)
     p = -np.expm1(-params.gamma_0 * s0 / (safe_f * lambda_g))

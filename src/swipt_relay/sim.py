@@ -10,20 +10,26 @@ point share the same channel draws (common random numbers), which sharpens
 gain and dominance comparisons.
 
 The Monte Carlo kernel draws each batch in full and then evaluates it in
-slices of CHUNK draws, so the temporaries stay in cache. Chunking does not
-change results: the per-draw math is elementwise IEEE arithmetic, so a draw's
-value does not depend on the slice it sits in, and every sum (the rho sum
-included) runs over the full batch. In each slice a conservative screen picks
-the draws that get the exact outage test; every other draw is provably not in
-outage under any policy, so no count depends on the screen (see _mc_batch).
+slices of CHUNK draws, so the temporaries stay in cache and below the size at
+which the C allocator maps fresh pages for them. Chunking does not change
+results: the per-draw math is elementwise IEEE arithmetic, so a draw's value
+does not depend on the slice it sits in, and every sum (the rho sum included)
+runs over the full batch. In each slice a conservative screen picks the draws
+that get the exact outage test, which then runs once on all of the batch's
+picks; every other draw is provably not in outage under any policy, so no
+count depends on the screen (see _mc_batch). The batch-sized arrays (h, g and
+each dynamic policy's rho) are rows of a workspace that each thread keeps and
+reuses, so a warm batch allocates nothing batch-sized; no result depends on it.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +60,9 @@ __all__ = [
 BATCH_SIZE = 1 << 19
 
 # Draws per slice when _mc_batch evaluates a batch; no result depends on it.
-CHUNK = 1 << 14
+# A 2^14-draw temporary is glibc's 128 KiB mmap threshold, so each one would
+# be mapped and faulted in afresh. 2^13 stays on the heap; 2^12 measured slower.
+CHUNK = 1 << 13
 
 # Relative slack on the outage screen's two bounds (see _mc_batch).
 SCREEN_SLACK = 1e-9
@@ -122,9 +130,9 @@ def _mc_batch(args):
 
     Outage is rare wherever the curves are read, so each slice first screens
     its draws with one bound that holds for every policy, and the exact margin
-    test runs only on the draws the screen keeps (the candidates). With
-    k_p = gamma_0 sp^2, k_d = gamma_0 sd^2 and R = {1/2} plus every Fixed rho0,
-    a draw is a candidate iff a < A* or |g|^2 a < K (1 + q), where
+    test runs once per batch, only on the draws the screen kept (the
+    candidates). With k_p = gamma_0 sp^2, k_d = gamma_0 sd^2 and R = {1/2}
+    plus every Fixed rho0, a draw is a candidate iff a < A* or |g|^2 a < K (1 + q), where
     A* = max over R of 2 k_p/(1 - rho) and K = max over R of 2 k_d/(rho (1 - rho)),
     each times (1 + SCREEN_SLACK). No outage is dropped:
 
@@ -142,45 +150,73 @@ def _mc_batch(args):
 
     So every count equals the unscreened test's. Every dynamic rho is still
     computed on every draw, for the rho sum and n_tx.
+
+    h, g and each dynamic rho live in rows of this thread's workspace, and a
+    Fixed rho0's sum is cached per (rho0, size), so a warm batch allocates
+    nothing batch-sized.
     """
     params, fading, policies, seed, key, batch_idx, size = args
-    rng = substream(seed, *key, batch_idx)
-    h_sq, g_sq = sample_channels(rng, fading, size)
+    dynamic = [pol for pol in policies if not isinstance(pol, Fixed)]
+    h_sq, g_sq, *rows = _workspace(2 + len(dynamic), size)
+    h_sq, g_sq = sample_channels(substream(seed, *key, batch_idx), fading, size,
+                                 out=(h_sq, g_sq))
     k_p = params.gamma_0 * params.sigma_p_sq
     k_d = params.gamma_0 * params.sigma_d_eff
     # A* and K of the screen: a draw skips the exact test iff a >= a_min and g*a >= k_min*(1 + q).
     screen_rhos = [0.5] + [pol.rho0 for pol in policies if isinstance(pol, Fixed)]
     a_min = max(2.0 * k_p / (1.0 - r) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     k_min = max(2.0 * k_d / (r * (1.0 - r)) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
-    # A fixed rho0 stays one number. Any other rho is kept for the whole batch,
+    # Per slice: the screen, which keeps the candidates' indices, and each
+    # dynamic rho, written into its row and kept at the candidates. The row is
     # zeroed where the relay only harvests, so its sum is one np.sum over the batch.
-    tx_rho = [None if isinstance(pol, Fixed) else np.empty(size) for pol in policies]
-    n_out = [0] * len(policies)
-    n_tx = [0] * len(policies)
-    # Per candidate, F(rho) = rho*((1 - rho)*a - k_p) and gamma_0 sigma_0^2(rho) = k_d*(1 - rho) + c.
+    cand, cand_rho, n_tx = [], [[] for _ in dynamic], [0] * len(dynamic)
     for lo in range(0, size, CHUNK):
         h, g = h_sq[lo:lo + CHUNK], g_sq[lo:lo + CHUNK]
         a, q = margin_terms(params, h)
         idx = np.flatnonzero((a < a_min) | (g * a < k_min * (1.0 + q)))
-        a_c, g_c, c = a[idx], g[idx], k_d * q[idx]
-        for j, pol in enumerate(policies):
-            if tx_rho[j] is None:
-                rho = pol.rho0
-            else:
-                rho = decide_rho(pol, params, h, g, terms=(a, q))
-                transmitting = rho < 1.0
-                n_tx[j] += int(np.count_nonzero(transmitting))
-                tx_rho[j][lo:lo + CHUNK] = np.where(transmitting, rho, 0.0)
-                rho = rho[idx]
-            one_minus = 1.0 - rho
-            f = rho * (one_minus * a_c - k_p)
-            n_out[j] += int(np.count_nonzero(g_c * f < k_d * one_minus + c))
+        cand.append(idx + lo)
+        for j, pol in enumerate(dynamic):
+            rho = rows[j][lo:lo + CHUNK]
+            rho[...] = decide_rho(pol, params, h, g, terms=(a, q))
+            cand_rho[j].append(rho[idx])
+            transmitting = rho < 1.0
+            n_tx[j] += int(np.count_nonzero(transmitting))
+            rho[~transmitting] = 0.0
+    # The exact test, once on all the batch's candidates: F(rho) = rho*((1 - rho)*a - k_p)
+    # and gamma_0 sigma_0^2(rho) = k_d*(1 - rho) + c.
+    cand = np.concatenate(cand)
+    a, q = margin_terms(params, h_sq[cand])
+    g, c = g_sq[cand], k_d * q
+    per_dynamic = iter(zip(rows, cand_rho, n_tx))
     stats = []
-    for pol, rho, out, tx in zip(policies, tx_rho, n_out, n_tx):
-        if rho is None:  # rho0 < 1, so every draw transmits
-            rho, tx = np.broadcast_to(pol.rho0, size), size
-        stats.append((out, float(np.sum(rho)), tx))
+    for pol in policies:
+        if isinstance(pol, Fixed):  # rho0 < 1, so every draw transmits
+            rho, rho_sum, tx = pol.rho0, _fixed_rho_sum(pol.rho0, size), size
+        else:
+            row, rhos, tx = next(per_dynamic)
+            rho, rho_sum = np.concatenate(rhos), float(np.sum(row))
+        one_minus = 1.0 - rho
+        f = rho * (one_minus * a - k_p)
+        stats.append((int(np.count_nonzero(g * f < k_d * one_minus + c)), rho_sum, tx))
     return stats
+
+
+_local = threading.local()
+
+
+def _workspace(count, size):
+    """count float arrays of size elements: rows of this thread's workspace,
+    which grows to the largest (count, size) asked for and is then reused."""
+    ws = getattr(_local, "workspace", np.empty((0, 0)))
+    if ws.shape[0] < count or ws.shape[1] < size:
+        ws = _local.workspace = np.empty(np.maximum(ws.shape, (count, size)))
+    return list(ws[:count, :size])
+
+
+@lru_cache(maxsize=16)
+def _fixed_rho_sum(rho0, size):
+    """Sum of a Fixed rho0 over a batch: the same batch-wide np.sum as a dynamic rho's."""
+    return float(np.sum(np.broadcast_to(rho0, size)))
 
 
 def _sa_batch(args):
@@ -188,8 +224,9 @@ def _sa_batch(args):
     params, fading, policy, seed, key, batch_idx, size = args
     rng = substream(seed, *key, batch_idx)
     h_sq = sample_gains(rng, fading.lambda_h, size)
-    rho = decide_rho(policy, params, h_sq, None)
-    p = conditional_outage(params, h_sq, rho, fading.lambda_g)
+    terms = margin_terms(params, h_sq)
+    rho = decide_rho(policy, params, h_sq, None, terms=terms)
+    p = conditional_outage(params, h_sq, rho, fading.lambda_g, terms=terms)
     transmitting = rho < 1.0
     return (
         float(p.sum()),

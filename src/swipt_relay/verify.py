@@ -34,7 +34,6 @@ from .sim import outage_mc, outage_semi_analytic
 
 __all__ = [
     "BatteryResult",
-    "random_instances",
     "battery_full_csi",
     "battery_partial_csi",
     "battery_snr_identity",
@@ -112,14 +111,6 @@ def _draw_partial(rng, count):
     params = _params(u[:, :5])
     low = np.log(h_threshold(_stack(params)) / 10.0)
     return params, np.exp(_scale(u[:, 5], low, _LOG_GAIN[1]))
-
-
-def random_instances(rng, count):
-    """Random (params, h_sq, g_sq) instances covering a wide operating range:
-    P_s uniform in [20, 50] dBm, noises in [-30, -10] dBm, epsilon in
-    [0.2, 1), channel gains log-uniform in [0.01, 10]."""
-    params, h_sq, g_sq = _draw_full(rng, count)
-    return list(zip(params, h_sq.tolist(), g_sq.tolist()))
 
 
 def battery_full_csi(count=10_000, seed=2024) -> BatteryResult:

@@ -1,5 +1,6 @@
 import pytest
 
+from swipt_relay import verify
 from swipt_relay.channel import FadingParams
 from swipt_relay.params import SystemParams, dbm_to_linear
 
@@ -19,3 +20,15 @@ def ref_params():
 @pytest.fixture
 def ref_fading():
     return FadingParams(lambda_h=1.5, lambda_g=1.5)
+
+
+@pytest.fixture
+def random_instances():
+    """random_instances(rng, count): random (params, h_sq, g_sq) instances from
+    the full-CSI battery's own draw, covering a wide operating range: P_s
+    uniform in [20, 50] dBm, noises in [-30, -10] dBm, epsilon in [0.2, 1),
+    channel gains log-uniform in [0.01, 10]."""
+    def draw(rng, count):
+        params, h_sq, g_sq = verify._draw_full(rng, count)
+        return list(zip(params, h_sq.tolist(), g_sq.tolist()))
+    return draw

@@ -102,6 +102,17 @@ class TestExponentialSampling:
         u = substream(5, 2, 1).random(n)
         assert np.array_equal(sample_gains(substream(5, 2, 1), lam, n), -lam * np.log1p(-u))
 
+    @pytest.mark.parametrize("n", [1, 1001, 1 << 16])
+    def test_draws_into_out_return_it_with_the_same_bits(self, n):
+        buf = np.full(n + 3, np.nan)[:n]  # a view, as the kernel's workspace rows are
+        assert sample_gains(substream(5, 2, 2), 1.7, n, out=buf) is buf
+        assert buf.tobytes() == sample_gains(substream(5, 2, 2), 1.7, n).tobytes()
+        rows = np.full((2, n + 3), np.nan)[:, :n]
+        fading = FadingParams(lambda_h=1.5, lambda_g=2.5)
+        h_sq, g_sq = sample_channels(substream(5, 2, 3), fading, n, out=(rows[0], rows[1]))
+        assert np.shares_memory(h_sq, rows[0]) and np.shares_memory(g_sq, rows[1])
+        assert rows.tobytes() == np.array(sample_channels(substream(5, 2, 3), fading, n)).tobytes()
+
     def test_bit_identical_reproducibility(self):
         fading = FadingParams(lambda_h=1.5, lambda_g=1.5)
         a = sample_channels(substream(9), fading, 1000)

@@ -24,7 +24,6 @@ from swipt_relay.policy import (
     partial_csi_rho,
     policy_name,
 )
-from swipt_relay.verify import random_instances
 
 GAMMA_0 = 7.0
 
@@ -62,13 +61,13 @@ class TestFullCsiClosedForm:
         grid = oracle_grid_full(ref_params, 1.5, 1.5, step=1e-5)
         assert abs(float(full_csi_rho(ref_params, 1.5, 1.5)) - grid) <= 2e-5
 
-    def test_strictly_interior(self):
+    def test_strictly_interior(self, random_instances):
         rng = substream(21)
         for params, h_sq, g_sq in random_instances(rng, 500):
             rho = float(full_csi_rho(params, h_sq, g_sq))
             assert 0.0 < rho < 1.0
 
-    def test_stable_form_equals_two_branch_form(self):
+    def test_stable_form_equals_two_branch_form(self, random_instances):
         # textbook form (-b1 - sqrt(b1^2-4a1c1)) / (2a1), valid for a1 != 0
         rng = substream(22)
         for params, h_sq, g_sq in random_instances(rng, 500):
@@ -86,7 +85,7 @@ class TestFullCsiClosedForm:
         rho = float(full_csi_rho(ref_params, 1.5, g_sq))
         assert rho == pytest.approx(0.5, abs=1e-9)
 
-    def test_optimal_against_grid(self):
+    def test_optimal_against_grid(self, random_instances):
         # random_instances draws epsilon in [0.2, 1), so this covers the fold
         for params, h_sq, g_sq in random_instances(substream(23), 200):
             rho_cf = float(full_csi_rho(params, h_sq, g_sq))
@@ -115,7 +114,7 @@ class TestPartialCsiClosedForm:
         grid = oracle_grid_partial(ref_params, 1.5, step=1e-5)
         assert abs(rho - grid) <= 2e-5
 
-    def test_inside_feasible_set(self):
+    def test_inside_feasible_set(self, random_instances):
         rng = substream(24)
         for params, h_sq, _ in random_instances(rng, 500):
             rho = float(partial_csi_rho(params, h_sq))
@@ -125,7 +124,7 @@ class TestPartialCsiClosedForm:
             r_max = float(textbook_rho_max(params, h_sq, GAMMA_0))
             assert 0.0 < rho < r_max
 
-    def test_optimal_against_grid(self):
+    def test_optimal_against_grid(self, random_instances):
         for params, h_sq, _ in random_instances(substream(25), 200):
             rho_cf = float(partial_csi_rho(params, h_sq))
             rho_grid = oracle_grid_partial(params, h_sq, step=1e-4)

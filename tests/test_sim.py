@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -250,10 +254,71 @@ class TestOutageScreen:
                               sigma_d_sq=sd, rate=rate, epsilon=epsilon)
         size = sim.CHUNK + 999  # a full slice and a short one
         h, g = _boundary_draws(params, policies, seed, size)
+        calls = []
+
+        def draws(rng, fading, n, out):
+            """The boundary draws, written into the kernel's workspace rows."""
+            calls.append(n)
+            np.copyto(out[0], h)
+            np.copyto(out[1], g)
+            return out
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "sample_channels", lambda rng, fading, n: (h.copy(), g.copy()))
+            mp.setattr(sim, "sample_channels", draws)
             got = sim._mc_batch((params, FadingParams(1.0, 1.0), policies, seed, (), 0, size))
+        assert calls == [size]
         assert got == _unscreened_mc_batch(params, policies, h, g)
+
+
+class TestWorkspace:
+    """_mc_batch keeps h, g and each dynamic rho in rows of a per-thread
+    workspace that grows to the largest batch and is then reused."""
+    SHIPPED = (FullCSI(), PartialCSI(), Fixed(0.4), Fixed(0.6), Fixed(0.8))
+    MIXES = ((Fixed(0.4), Fixed(0.8)), (Fixed(0.6), PartialCSI()),
+             (PartialCSI(), Fixed(0.4), FullCSI()))  # 0, 1 and 2 dynamic rules
+
+    def test_a_warm_batch_allocates_nothing_batch_sized(self, ref_params, ref_fading):
+        # a 2^19-draw array is 4 MiB: fresh h, g and two dynamic rho rows would be 16 MiB
+        args = (ref_params, ref_fading, self.SHIPPED, 41, (), 0, sim.BATCH_SIZE)
+        sim._mc_batch(args)
+        tracemalloc.start()
+        try:
+            sim._mc_batch(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    def test_batches_in_sequence_equal_the_reference(self, monkeypatch, ref_params, ref_fading):
+        monkeypatch.setattr(sim, "_local", threading.local())  # no workspace yet
+        n = 2500
+        with monkeypatch.context() as mp:
+            mp.setattr(sim, "BATCH_SIZE", 1000)
+            for pols in self.MIXES:
+                batches = [_reference_mc_batch(ref_params, ref_fading, pols, 42, (), b, size)
+                           for b, size in enumerate((1000, 1000, 500))]
+                got = outage_point(ref_params, ref_fading, pols, GAMMA_0, n, 42)
+                assert got == sim._mc_estimates(batches, n)
+        for pols, size in [(self.MIXES[2], sim.BATCH_SIZE), (self.MIXES[0], 777),
+                           (self.MIXES[1], sim.BATCH_SIZE), (self.MIXES[2], sim.CHUNK + 1),
+                           (self.MIXES[0], sim.BATCH_SIZE), (self.MIXES[1], 1)]:
+            args = (ref_params, ref_fading, pols, 43, (size,), 0, size)
+            assert sim._mc_batch(args) == _reference_mc_batch(*args)
+
+    def test_threads_running_batches_at_once_match_the_serial_results(self, ref_params,
+                                                                      ref_fading):
+        jobs = [(ref_params, ref_fading, self.MIXES[i % 3], 44, (), i, 3 * sim.CHUNK + 17 * i)
+                for i in range(12)]
+        serial = [sim._mc_batch(args) for args in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(sim._mc_batch, args) for args in jobs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestSampleCount:

@@ -178,11 +178,11 @@ def test_partial_csi_battery_matches_the_scalar_loop(monkeypatch, seed):
     assert [rho for _, rho in oracle] == [row[3] for row in rows]
 
 
-def test_random_instances_match_the_scalar_draws():
+def test_random_instances_match_the_scalar_draws(random_instances):
     rng, ref = substream(7), substream(7)
     expected = [(_scalar_params(ref),
                  float(np.exp(ref.uniform(np.log(0.01), np.log(10.0)))),
                  float(np.exp(ref.uniform(np.log(0.01), np.log(10.0)))))
                 for _ in range(300)]
-    assert verify.random_instances(rng, 300) == expected
+    assert random_instances(rng, 300) == expected
     assert rng.random() == ref.random()  # the stream is left where it was
