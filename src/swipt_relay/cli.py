@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None,
                        help="realizations per point, 1 to 2^53 (overrides config)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers, >= 1; results do not depend on this")
+                       help="threads in this process, >= 1; results do not depend on this")
 
     p_point = sub.add_parser("point", help="outage at one operating point per policy")
     common(p_point)

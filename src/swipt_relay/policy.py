@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .link import f_of_rho, h_threshold, margin_terms, sigma0_sq, snr
+from .link import h_threshold, margin_terms, snr, w_ratio
 
 __all__ = [
     "Fixed",
@@ -160,12 +160,10 @@ def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4) -> float:
 
 
 def oracle_grid_partial(params, h_sq, step: float = 1e-4) -> float:
-    """Brute-force argmax of W(rho) over the grid points where F(rho) > 0; with
-    none, outage is certain and the decision is harvest-only (rho = 1)."""
+    """Brute-force argmax of W(rho) = F/sigma_0^2 over the grid. sigma_0^2 > 0,
+    so W has the sign of F: W <= 0 at the argmax means no grid point has
+    F(rho) > 0, outage is certain and the decision is harvest-only (rho = 1)."""
     grid = _rho_grid(step)
-    f = f_of_rho(params, h_sq, grid)
-    feasible = f > 0.0
-    if not np.any(feasible):
-        return 1.0
-    w = np.where(feasible, f / sigma0_sq(params, h_sq, grid), -np.inf)
-    return float(grid[int(np.argmax(w))])
+    w = w_ratio(params, h_sq, grid)
+    best = int(np.argmax(w))
+    return float(grid[best]) if w[best] > 0.0 else 1.0

@@ -3,23 +3,23 @@
 Determinism contract: every estimate is a pure function of (seed, n) plus the
 static parameters. Realizations are partitioned into fixed-size batches and
 batch b always draws from substream(seed, *key, b), so the result is
-bit-identical no matter how many workers execute the batches. A sweep maps
-the batches of all its points as one plan, so it starts its worker pool once,
-and merges the results in plan order. Policies compared at the same operating
-point share the same channel draws (common random numbers), which sharpens
-gain and dominance comparisons.
+bit-identical no matter how many threads execute the batches. A sweep maps
+the batches of all its points as one plan through one thread pool, in one
+process, and merges the results in plan order. Policies compared at the same
+operating point share the same channel draws (common random numbers), which
+sharpens gain and dominance comparisons.
 
 The Monte Carlo kernel draws each batch in full and then evaluates it in
-slices of CHUNK draws, so the temporaries stay in cache and below the size at
-which the C allocator maps fresh pages for them. Chunking does not change
-results: the per-draw math is elementwise IEEE arithmetic, so a draw's value
-does not depend on the slice it sits in, and every sum (the rho sum included)
-runs over the full batch. In each slice a conservative screen picks the draws
-that get the exact outage test, which then runs once on all of the batch's
-picks; every other draw is provably not in outage under any policy, so no
-count depends on the screen (see _mc_batch). The batch-sized arrays (h, g and
-each dynamic policy's rho) are rows of a workspace that each thread keeps and
-reuses, so a warm batch allocates nothing batch-sized; no result depends on it.
+slices of CHUNK draws, or of POOL_CHUNK on a pool's threads, where numpy's
+loops, which release the GIL, must dominate. Chunking does not change results:
+the per-draw math is elementwise IEEE arithmetic, so a draw's value does not
+depend on the slice it sits in, and every sum (the rho sum included) runs over
+the full batch. In each slice a conservative screen picks the draws that get
+the exact outage test, which then runs once on all of the batch's picks; every
+other draw is provably not in outage under any policy, so no count depends on
+the screen (see _mc_batch). The batch-sized arrays (h, g and each dynamic
+policy's rho) are rows of a workspace that each thread keeps and reuses, so a
+warm batch allocates nothing batch-sized; no result depends on it.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ import dataclasses
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+# No batch runs in a process pool; perfbench/spans.py reads sim.ProcessPoolExecutor.
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,10 +60,10 @@ __all__ = [
 # changes which substream produces which draw).
 BATCH_SIZE = 1 << 19
 
-# Draws per slice when _mc_batch evaluates a batch; no result depends on it.
-# A 2^14-draw temporary is glibc's 128 KiB mmap threshold, so each one would
-# be mapped and faulted in afresh. 2^13 stays on the heap; 2^12 measured slower.
-CHUNK = 1 << 13
+# Draws per slice in _mc_batch; no result depends on them. 2^13-draw temporaries
+# stay below glibc's 128 KiB mmap threshold (at 2^15 a fresh process refaulted
+# ~29,000 pages per n = 1e7 point); pool threads need 2^15 to overlap in numpy.
+CHUNK, POOL_CHUNK = 1 << 13, 1 << 15
 
 # Relative slack on the outage screen's two bounds (see _mc_batch).
 SCREEN_SLACK = 1e-9
@@ -156,6 +157,7 @@ def _mc_batch(args):
     nothing batch-sized.
     """
     params, fading, policies, seed, key, batch_idx, size = args
+    chunk = getattr(_local, "chunk", CHUNK)
     dynamic = [pol for pol in policies if not isinstance(pol, Fixed)]
     h_sq, g_sq, *rows = _workspace(2 + len(dynamic), size)
     h_sq, g_sq = sample_channels(substream(seed, *key, batch_idx), fading, size,
@@ -170,13 +172,13 @@ def _mc_batch(args):
     # dynamic rho, written into its row and kept at the candidates. The row is
     # zeroed where the relay only harvests, so its sum is one np.sum over the batch.
     cand, cand_rho, n_tx = [], [[] for _ in dynamic], [0] * len(dynamic)
-    for lo in range(0, size, CHUNK):
-        h, g = h_sq[lo:lo + CHUNK], g_sq[lo:lo + CHUNK]
+    for lo in range(0, size, chunk):
+        h, g = h_sq[lo:lo + chunk], g_sq[lo:lo + chunk]
         a, q = margin_terms(params, h)
         idx = np.flatnonzero((a < a_min) | (g * a < k_min * (1.0 + q)))
         cand.append(idx + lo)
         for j, pol in enumerate(dynamic):
-            rho = rows[j][lo:lo + CHUNK]
+            rho = rows[j][lo:lo + chunk]
             rho[...] = decide_rho(pol, params, h, g, terms=(a, q))
             cand_rho[j].append(rho[idx])
             transmitting = rho < 1.0
@@ -245,15 +247,15 @@ def _map_batches(fn, points, n, seed, workers):
     count = -(-n // BATCH_SIZE)
     args = (head + (seed, tuple(key), b, min(BATCH_SIZE, n - b * BATCH_SIZE))
             for head, key in points for b in range(count))
-    # More workers than cores or batches would only add start-up cost.
+    # More threads than cores or batches would only add start-up cost.
     workers = min(workers, os.cpu_count() or 1, count * len(points))
     if workers <= 1:
         results = [fn(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            # ex.map keeps submission order, so the split below does not
-            # depend on scheduling.
-            results = list(ex.map(fn, args, chunksize=1))
+        # ex.map returns results in submission order: the split below ignores scheduling.
+        with ThreadPoolExecutor(workers, initializer=setattr,  # each thread slices at POOL_CHUNK
+                                initargs=(_local, "chunk", POOL_CHUNK)) as ex:
+            results = list(ex.map(fn, args))
     return [results[i:i + count] for i in range(0, len(results), count)]
 
 
@@ -370,7 +372,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple:
 
     Each sweep point owns the substream key (point_index,); within a point all
     policies share channel draws. The batches of all points form one plan and
-    one map, so a sweep starts at most one worker pool; results are split back
+    one map, so a sweep starts at most one thread pool; results are split back
     per point in plan order, so point i's estimates equal outage_point(..., key=(i,)).
     """
     configs = [_point_config(spec, value) for value in spec.values]

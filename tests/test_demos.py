@@ -37,7 +37,7 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sweep_csv_bytes_match_recorded_digests(tmp_path, workers):
     # The config names its outputs by relative paths, so the run writes into tmp_path.
     shutil.copyfile(ROOT / "perfbench" / "sweep_config.json", tmp_path / "config.json")

@@ -5,12 +5,14 @@ import pytest
 
 from swipt_relay.channel import substream
 from swipt_relay.link import (
+    f_of_rho,
     h_threshold,
+    sigma0_sq,
     snr,
     w_ratio,
     conditional_outage,
 )
-from swipt_relay import policy
+from swipt_relay import policy, verify
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import (
     Fixed,
@@ -31,6 +33,18 @@ GAMMA_0 = 7.0
 # by 1e-6-step grid search on the respective objectives.
 FULL_RHO_REF = 0.5356034165509731
 PART_RHO_REF = 0.9976912602008429
+
+
+def masked_oracle_partial(params, h_sq, step):
+    """The partial-CSI grid oracle in its masked form: argmax of W over the grid
+    points where F(rho) > 0, harvest-only (rho = 1) when there are none."""
+    grid = policy._rho_grid(step)
+    f = f_of_rho(params, h_sq, grid)
+    feasible = f > 0.0
+    if not np.any(feasible):
+        return 1.0
+    w = np.where(feasible, f / sigma0_sq(params, h_sq, grid), -np.inf)
+    return float(grid[int(np.argmax(w))])
 
 
 def textbook_rho_max(p, h_sq, gamma_0):
@@ -194,6 +208,24 @@ class TestOracles:
         rho = oracle_grid_partial(ref_params, 1.01 * h0, step=1e-4)
         assert 0.0 < rho < textbook_rho_max(ref_params, 1.01 * h0, GAMMA_0)
         assert abs(oracle_grid_partial(ref_params, 1.5, step=1e-5) - PART_RHO_REF) <= 2e-5
+
+
+    def test_partial_oracle_equals_its_masked_form(self, ref_params):
+        # the verify battery's draws: |h|^2 log-uniform on [H0/10, 10], about a
+        # sixth of them at or below H0
+        params, h_sq = verify._draw_partial(substream(26), 2000)
+        cases = list(zip(params, h_sq.tolist()))
+        assert sum(h <= h_threshold(p) for p, h in cases) > 200
+        # at and above H0 at the reference point: F > 0 on (0, rho_max) with
+        # rho_max about 2*delta, so the first two deltas leave an interval
+        # narrower than the step that holds no grid point
+        h0 = h_threshold(ref_params)
+        cases += [(ref_params, h0 * (1.0 + d)) for d in (0.0, 1e-6, 2e-5, 6e-5, 1e-4, 1e-3)]
+        for p, h in cases:
+            assert oracle_grid_partial(p, h, 1e-4) == masked_oracle_partial(p, h, 1e-4)
+        narrow = h0 * (1.0 + 2e-5)
+        assert 0.0 < textbook_rho_max(ref_params, narrow, GAMMA_0) < 1e-4
+        assert oracle_grid_partial(ref_params, narrow, 1e-4) == 1.0
 
 
 class TestPolicyNames:

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -36,16 +39,17 @@ GAMMA_0 = 7.0
 
 
 def install_serial_pool(monkeypatch, cpus):
-    """Patch sim's ProcessPoolExecutor with an in-process stand-in and report
+    """Patch sim's ThreadPoolExecutor with a serial stand-in and report
     os.cpu_count() as cpus. Returns the list of max_workers, one entry per
-    pool started. Nothing is forked."""
+    pool started. No thread is started, and the pool's thread initializer does
+    not run, so the calling thread keeps slicing at CHUNK."""
     started = []
 
     class SerialPool:
         """Runs the items worker by worker (item i on worker i % max_workers),
         so the run order depends on the worker count, and returns the results
         in submission order, as Executor.map does."""
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
             self.workers = max_workers
 
@@ -55,7 +59,7 @@ def install_serial_pool(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
+        def map(self, fn, items):
             items = list(items)
             results = [None] * len(items)
             for w in range(self.workers):
@@ -63,7 +67,7 @@ def install_serial_pool(monkeypatch, cpus):
                     results[i] = fn(items[i])
             return iter(results)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
     return started
 
@@ -543,3 +547,65 @@ class TestOnePoolPerSweep:
             assert [r.sweep_value for r in got] == [value] * per_point
             assert [r.policy for r in got] == list(self.POLICIES)
             assert [r.estimate for r in got] == expected
+
+    def test_a_real_pool_runs_the_plan_on_threads_of_this_process(self, monkeypatch,
+                                                                   ref_params, ref_fading):
+        monkeypatch.setattr(sim, "BATCH_SIZE", self.BATCH)
+        monkeypatch.setattr(sim, "CHUNK", 100)
+        monkeypatch.setattr(sim, "POOL_CHUNK", 300)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        spec = self.spec(ref_params, ref_fading, range(30, 52, 2), 2 * self.BATCH + 7)
+        slices = []  # the slice length of each decide_rho call in _mc_batch
+        decide = sim.decide_rho
+
+        def recording_rho(pol, params, h, g, **kwargs):
+            slices.append(len(h))
+            return decide(pol, params, h, g, **kwargs)
+
+        monkeypatch.setattr(sim, "decide_rho", recording_rho)
+        serial = run_sweep(spec, workers=1)
+        assert set(slices) == {100, 7}  # batches of 1000, 1000 and 7 draws
+        slices.clear()
+        seen = []  # (pid, thread name, live child processes) per batch
+        batch = sim._mc_batch
+
+        def recording(args):
+            seen.append((os.getpid(), threading.current_thread().name,
+                         multiprocessing.active_children()))
+            return batch(args)
+
+        monkeypatch.setattr(sim, "_mc_batch", recording)
+        assert run_sweep(spec, workers=2) == serial
+        assert set(slices) == {300, 100, 7}  # pool threads slice at POOL_CHUNK
+        assert not hasattr(sim._local, "chunk")  # the calling thread still slices at CHUNK
+        assert len(seen) == 33
+        assert {pid for pid, _, _ in seen} == {os.getpid()}
+        assert all(name.startswith("ThreadPoolExecutor") for _, name, _ in seen)
+        assert all(children == [] for _, _, children in seen)
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_in_an_early_batch_stops_a_pooled_sweep(self, monkeypatch,
+                                                             ref_params, ref_fading):
+        monkeypatch.setattr(sim, "BATCH_SIZE", 100)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        spec = self.spec(ref_params, ref_fading, range(30, 80), 400)  # 200 batches
+        started, lock = [], threading.Lock()
+        batch = sim._mc_batch
+
+        class BatchFailed(Exception):
+            pass
+
+        def failing(args):
+            key, b = args[4], args[5]
+            with lock:
+                started.append((key, b))
+            if (key, b) == ((0,), 2):
+                raise BatchFailed
+            time.sleep(0.002)  # the pool must not outrun the cancellation
+            return batch(args)
+
+        monkeypatch.setattr(sim, "_mc_batch", failing)
+        with pytest.raises(BatchFailed):
+            run_sweep(spec, workers=2)
+        assert ((0,), 2) in started
+        assert len(started) < 200
