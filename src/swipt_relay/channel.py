@@ -31,10 +31,10 @@ class FadingParams:
     lambda_g: float  # mean of |g|^2 (relay -> destination)
 
     def __post_init__(self):
-        if not self.lambda_h > 0:
-            raise ValueError(f"lambda_h must be positive, got {self.lambda_h!r}")
-        if not self.lambda_g > 0:
-            raise ValueError(f"lambda_g must be positive, got {self.lambda_g!r}")
+        for name in ("lambda_h", "lambda_g"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
 def substream(parent_seed: int, *indices: int) -> np.random.Generator:

@@ -164,7 +164,7 @@ def _parse(args):
         raise ConfigError(f"workers must be an integer >= 1, got {args.workers}")
     cfg = _load_config(args.config)
     spec = _sweep_spec(cfg, args)
-    out = _out_path(args.out or cfg.get("out"))
+    out = _out_path(cfg.get("out") if args.out is None else args.out)
     gains_out = None
     if args.command == "gains":
         out, gains_out = None, out

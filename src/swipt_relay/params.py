@@ -38,8 +38,8 @@ class SystemParams:
                 raise ConfigError(f"{name} must be a positive finite power, got {v!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError(f"epsilon out of range (0, 1]: {self.epsilon!r}")
-        if not self.rate > 0:
-            raise ConfigError(f"rate must be positive, got {self.rate!r}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ConfigError(f"rate must be positive and finite, got {self.rate!r}")
 
     @property
     def gamma_0(self) -> float:

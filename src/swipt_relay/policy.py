@@ -89,7 +89,7 @@ def policy_name(policy: Policy) -> str:
     return f"fixed:{policy.rho0:g}"
 
 
-def full_csi_rho(params, h_sq, g_sq):
+def full_csi_rho(params, h_sq, g_sq, *, terms=None):
     """SNR-maximizing rho, closed form. Broadcasts over arrays.
 
     The stationarity quadratic a1*rho^2 - 2*c1*rho + c1 = 0 has
@@ -97,28 +97,20 @@ def full_csi_rho(params, h_sq, g_sq):
     It is solved in the rationalized form rho* = c1 / (c1 + sqrt(c1*(c1 - a1))),
     which is the in-(0,1) root for any sign of a1 and stays exact through
     a1 -> 0 (where the two-branch textbook form needs a special case and
-    loses digits).
+    loses digits). terms, if given, is margin_terms(params, h_sq), as in link.
     """
-    _, q = margin_terms(params, h_sq)
-    return _full_csi_rho(params, q, g_sq)
-
-
-def _full_csi_rho(params, q, g_sq):
-    """full_csi_rho from the margin term q at |h|^2, for a caller that has it."""
+    _, q = margin_terms(params, h_sq) if terms is None else terms
     c1 = params.sigma_d_eff * (1.0 + q)
     return c1 / (c1 + np.sqrt(c1 * (params.sigma_d_eff * q + g_sq * params.sigma_p_sq)))
 
 
-def partial_csi_rho(params, h_sq):
+def partial_csi_rho(params, h_sq, *, terms=None):
     """Outage-minimizing rho given |h|^2 only, the maximizer of
     F(rho)/sigma_0^2(rho): rho = (1 + q) - sqrt((1 + q)*(q + gamma_0 sp^2/a)),
-    or 1 (harvest only) at or below the feasibility threshold H0. Broadcasts."""
+    or 1 (harvest only) at or below the feasibility threshold H0. Broadcasts;
+    terms as in full_csi_rho."""
     h_sq = np.asarray(h_sq, dtype=float)
-    return _partial_csi_rho(params, h_sq, *margin_terms(params, h_sq))
-
-
-def _partial_csi_rho(params, h_sq, a, q):
-    """partial_csi_rho from the margin terms (a, q) at the array h_sq."""
+    a, q = margin_terms(params, h_sq) if terms is None else terms
     feasible = h_sq > h_threshold(params)
     a = np.where(feasible, a, 1.0)  # a > 0 whenever feasible; mask the rest
     rho = (1.0 + q) - np.sqrt((1.0 + q) * (q + params.gamma_0 * params.sigma_p_sq / a))
@@ -127,18 +119,13 @@ def _partial_csi_rho(params, h_sq, a, q):
 
 def decide_rho(policy: Policy, params, h_sq, g_sq, *, terms=None):
     """Per-realization rho for any policy; broadcasts over channel arrays.
-    terms, if given, is margin_terms(params, h_sq) for an array h_sq, which
-    the dynamic rules then use instead of computing it again."""
+    terms, if given, is margin_terms(params, h_sq), passed on to the rule."""
     if isinstance(policy, Fixed):
-        return np.broadcast_to(policy.rho0, np.shape(h_sq)).astype(float) \
-            if np.ndim(h_sq) else policy.rho0
-    if terms is None:
-        h_sq = np.asarray(h_sq, dtype=float)
-        terms = margin_terms(params, h_sq)
+        return np.full(np.shape(h_sq), policy.rho0, dtype=float)
     if isinstance(policy, FullCSI):
-        return _full_csi_rho(params, terms[1], g_sq)
+        return full_csi_rho(params, h_sq, g_sq, terms=terms)
     if isinstance(policy, PartialCSI):
-        return _partial_csi_rho(params, h_sq, *terms)
+        return partial_csi_rho(params, h_sq, terms=terms)
     raise TypeError(f"unknown policy type: {policy!r}")
 
 

@@ -122,7 +122,8 @@ class TestExponentialSampling:
 
 
 class TestTypes:
-    @pytest.mark.parametrize("lh,lg", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("lh,lg", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+                                       (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
     def test_fading_params_validated(self, lh, lg):
         with pytest.raises(ValueError):
             FadingParams(lambda_h=lh, lambda_g=lg)

@@ -62,11 +62,25 @@ NO_FIXED_08 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6"]
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "argv": ["--workers", "-3"]}),
     ("point", {"argv": ["--n", "99999999999999999999"]}),
     ("point", {"argv": ["--n", str(2**53 + 1)]}),
+    ("point", {"out": "OUT", "argv": ["--out", ""]}),
+    ("point", '{"p_s_dbm": 40.0,'),
+    ("point", "[1, 2]"),
+    ("point", {"policies": None}),
+    ("point", {"policies": []}),
+    ("point", {"policies": "full_csi"}),
+    ("sweep", {}),
+    ("sweep", {"sweep": {"values": [1.0, 2.0]}}),
+    ("sweep", {"sweep": {"variable": "rate_bps_hz", "values": [1.0, 2.0]}}),
+    ("sweep", {"sweep": {"variable": "lambda_g", "values": [2.0, 1.0]}}),
+    ("point", {"n": None}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
     "gains_out-incomplete", "gains_out-missing-dir", "p_s_dbm-overflow", "p_s_dbm-overflow-sweep",
-    "workers-zero", "workers-negative", "n-huge", "n-above-2^53",
+    "workers-zero", "workers-negative", "n-huge", "n-above-2^53", "out-flag-empty",
+    "json-invalid", "json-array", "policies-missing", "policies-empty", "policies-not-list",
+    "sweep-missing", "sweep-variable-missing", "sweep-variable-unknown", "values-decreasing",
+    "n-missing",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing
@@ -75,11 +89,16 @@ def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, o
 
     monkeypatch.setattr(cli, "outage_point", no_compute)
     monkeypatch.setattr(cli, "run_sweep", no_compute)
-    overrides = dict(overrides)
-    flags = overrides.pop("argv", [])
-    if overrides.get("gains_out"):
-        overrides["gains_out"] = str(tmp_path / overrides["gains_out"])
-    cfg = write_config(tmp_path, overrides)
+    if isinstance(overrides, str):  # the config file's whole text
+        cfg, flags = tmp_path / "config.json", []
+        cfg.write_text(overrides)
+    else:
+        overrides = dict(overrides)
+        flags = overrides.pop("argv", [])
+        for key in ("out", "gains_out"):  # output paths in the config, inside tmp_path
+            if overrides.get(key):
+                overrides[key] = str(tmp_path / overrides[key])
+        cfg = write_config(tmp_path, overrides)
     out = tmp_path / "out.csv"
     assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == EXIT_CONFIG
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]

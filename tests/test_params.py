@@ -100,6 +100,12 @@ class TestSystemParamsInvariants:
             SystemParams(p_s=1.0, sigma_r_sq=-0.01, sigma_p_sq=0.01,
                          sigma_d_sq=0.02, rate=3.0)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match="rate"):
+            SystemParams(p_s=1.0, sigma_r_sq=0.01, sigma_p_sq=0.01,
+                         sigma_d_sq=0.02, rate=rate)
+
     def test_immutable(self):
         p = validate(REF_CONFIG)
         with pytest.raises(Exception):

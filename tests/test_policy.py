@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swipt_relay.channel import substream
 from swipt_relay.link import (
     f_of_rho,
     h_threshold,
+    margin_terms,
     sigma0_sq,
     snr,
     w_ratio,
@@ -175,6 +177,39 @@ class TestFixedPolicy:
         g = np.array([5.0, 0.2, 1.0])
         rho = decide_rho(Fixed(0.6), ref_params, h, g)
         np.testing.assert_array_equal(rho, [0.6, 0.6, 0.6])
+
+
+class TestDecideRho:
+    def test_unknown_policy_type_raises(self, ref_params):
+        with pytest.raises(TypeError, match="unknown policy type"):
+            decide_rho(object(), ref_params, 1.5, 1.5)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(p_s_dbm=st.floats(20.0, 55.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),
+           epsilon=st.floats(0.1, 1.0), rate=st.floats(0.5, 4.0), lambda_g=st.floats(0.1, 10.0),
+           channel=st.lists(st.tuples(st.floats(1e-10, 10.0), st.floats(1e-3, 10.0)),
+                            min_size=1, max_size=32))
+    def test_terms_keyword_changes_no_bit(self, p_s_dbm, noise_dbm, epsilon, rate,
+                                          lambda_g, channel):
+        # |h|^2 from 1e-10 reaches below H0 (at least 2.6e-9 here) at every operating point
+        sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
+        params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
+                              sigma_d_sq=sd, rate=rate, epsilon=epsilon)
+        h, g = np.array(channel).T
+        terms = margin_terms(params, h)
+
+        def assert_same_bits(fn, *args):
+            with_terms = np.asarray(fn(*args, terms=terms))
+            assert with_terms.tobytes() == np.asarray(fn(*args)).tobytes()
+
+        assert_same_bits(full_csi_rho, params, h, g)
+        assert_same_bits(partial_csi_rho, params, h)
+        for pol in (FullCSI(), PartialCSI(), Fixed(0.5)):
+            assert_same_bits(decide_rho, pol, params, h, g)
+        for rho in (full_csi_rho(params, h, g), partial_csi_rho(params, h)):
+            assert_same_bits(f_of_rho, params, h, rho)
+            assert_same_bits(sigma0_sq, params, h, rho)
+            assert_same_bits(conditional_outage, params, h, rho, lambda_g)
 
 
 class TestOracles:

@@ -424,6 +424,15 @@ class TestHorizontalGain:
         with pytest.raises(ValueError):
             horizontal_gain_db(dyn, bad, 40.0)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c[:3] + [(c[2][0], c[3][1])] + c[4:], "strictly increasing P_s"),
+        (lambda c: c[:-1] + [(c[-1][0], 0.0)], "non-positive outage"),
+    ], ids=["p_s-repeated", "outage-zero"])
+    def test_rejects_malformed_curve(self, edit, message):
+        dyn = self.make_curve()
+        with pytest.raises(ValueError, match=message):
+            horizontal_gain_db(dyn, edit(dyn), 40.0)
+
     def test_at_point_outside_domain(self):
         dyn = self.make_curve()
         with pytest.raises(ValueError):
@@ -467,6 +476,15 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepSpec(variable="epsilon", values=(0.5,), params=ref_params,
                       fading=ref_fading, policies=(Fixed(0.4),), n=10, seed=1)
+
+    @pytest.mark.parametrize("values,policies,message", [
+        ((), (Fixed(0.4),), "nonempty"),
+        ((1.5,), (), "at least one policy"),
+    ], ids=["values-empty", "policies-empty"])
+    def test_incomplete_spec_rejected(self, ref_params, ref_fading, values, policies, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(variable="lambda_g", values=values, params=ref_params,
+                      fading=ref_fading, policies=policies, n=10, seed=1)
 
     def test_gains_require_all_policies(self, ref_params, ref_fading):
         spec = SweepSpec(
