@@ -15,11 +15,11 @@ loops, which release the GIL, must dominate. Chunking does not change results:
 the per-draw math is elementwise IEEE arithmetic, so a draw's value does not
 depend on the slice it sits in, and every sum (the rho sum included) runs over
 the full batch. In each slice a conservative screen picks the draws that get
-the exact outage test, which then runs once on all of the batch's picks; every
-other draw is provably not in outage under any policy, so no count depends on
-the screen (see _mc_batch). The batch-sized arrays (h, g and each dynamic
-policy's rho) are rows of a workspace that each thread keeps and reuses, so a
-warm batch allocates nothing batch-sized; no result depends on it.
+the exact outage test, snr() < gamma_0, which runs once on the batch's picks;
+every other draw is provably not in outage under any policy, so no count
+depends on the screen (see _mc_batch). The batch-sized arrays (h, g and each
+dynamic policy's rho) are rows of a workspace that each thread keeps and
+reuses, so a warm batch allocates nothing batch-sized; no result depends on it.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import FadingParams, sample_channels, sample_gains, substream
-from .link import conditional_outage, margin_terms
+from .link import conditional_outage, margin_terms, snr
 from .params import SystemParams, dbm_to_linear
 from .policy import Fixed, FullCSI, Policy, decide_rho, policy_name
 
@@ -124,16 +124,14 @@ class GainRow:
 def _mc_batch(args):
     """One batch of channel draws evaluated under every policy (CRN).
 
-    Returns (n_out, rho_sum, n_tx) per policy. Outage is gamma(rho) < gamma_0
-    in margin form, |g|^2 F(rho) < gamma_0 sigma_0^2(rho): both sides times the
-    SNR's positive denominator, so no division, and the |h|^2 terms (a, q) are
-    shared by all policies.
+    Returns (n_out, rho_sum, n_tx) per policy. Outage is snr(rho) < gamma_0.
 
     Outage is rare wherever the curves are read, so each slice first screens
-    its draws with one bound that holds for every policy, and the exact margin
-    test runs once per batch, only on the draws the screen kept (the
-    candidates). With k_p = gamma_0 sp^2, k_d = gamma_0 sd^2 and R = {1/2}
-    plus every Fixed rho0, a draw is a candidate iff a < A* or |g|^2 a < K (1 + q), where
+    its draws with one bound that holds for every policy, and the exact test
+    runs once per batch, only on the draws the screen kept (the candidates).
+    The bound uses link's margin form of outage, |g|^2 F(rho) < gamma_0 sigma_0^2(rho).
+    With k_p = gamma_0 sp^2, k_d = gamma_0 sd^2 and R = {1/2} plus every Fixed
+    rho0, a draw is a candidate iff a < A* or |g|^2 a < K (1 + q), where
     A* = max over R of 2 k_p/(1 - rho) and K = max over R of 2 k_d/(rho (1 - rho)),
     each times (1 + SCREEN_SLACK). No outage is dropped:
 
@@ -169,37 +167,32 @@ def _mc_batch(args):
     a_min = max(2.0 * k_p / (1.0 - r) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     k_min = max(2.0 * k_d / (r * (1.0 - r)) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     # Per slice: the screen, which keeps the candidates' indices, and each
-    # dynamic rho, written into its row and kept at the candidates. The row is
-    # zeroed where the relay only harvests, so its sum is one np.sum over the batch.
-    cand, cand_rho, n_tx = [], [[] for _ in dynamic], [0] * len(dynamic)
+    # dynamic rho, written into its row. The row is zeroed where the relay
+    # only harvests, so its sum is one np.sum over the batch.
+    cand, n_tx = [], [0] * len(dynamic)
     for lo in range(0, size, chunk):
         h, g = h_sq[lo:lo + chunk], g_sq[lo:lo + chunk]
         a, q = margin_terms(params, h)
-        idx = np.flatnonzero((a < a_min) | (g * a < k_min * (1.0 + q)))
-        cand.append(idx + lo)
+        cand.append(np.flatnonzero((a < a_min) | (g * a < k_min * (1.0 + q))) + lo)
         for j, pol in enumerate(dynamic):
             rho = rows[j][lo:lo + chunk]
             rho[...] = decide_rho(pol, params, h, g, terms=(a, q))
-            cand_rho[j].append(rho[idx])
             transmitting = rho < 1.0
             n_tx[j] += int(np.count_nonzero(transmitting))
             rho[~transmitting] = 0.0
-    # The exact test, once on all the batch's candidates: F(rho) = rho*((1 - rho)*a - k_p)
-    # and gamma_0 sigma_0^2(rho) = k_d*(1 - rho) + c.
+    # The exact test, once on all the batch's candidates. A harvest-only
+    # draw's zeroed rho gives snr = 0, so it is in outage, as at rho = 1.
     cand = np.concatenate(cand)
-    a, q = margin_terms(params, h_sq[cand])
-    g, c = g_sq[cand], k_d * q
-    per_dynamic = iter(zip(rows, cand_rho, n_tx))
+    h, g = h_sq[cand], g_sq[cand]
+    per_dynamic = iter(zip(rows, n_tx))
     stats = []
     for pol in policies:
         if isinstance(pol, Fixed):  # rho0 < 1, so every draw transmits
             rho, rho_sum, tx = pol.rho0, _fixed_rho_sum(pol.rho0, size), size
         else:
-            row, rhos, tx = next(per_dynamic)
-            rho, rho_sum = np.concatenate(rhos), float(np.sum(row))
-        one_minus = 1.0 - rho
-        f = rho * (one_minus * a - k_p)
-        stats.append((int(np.count_nonzero(g * f < k_d * one_minus + c)), rho_sum, tx))
+            row, tx = next(per_dynamic)
+            rho, rho_sum = row[cand], float(np.sum(row))
+        stats.append((int(np.count_nonzero(snr(params, h, g, rho) < params.gamma_0)), rho_sum, tx))
     return stats
 
 

@@ -104,6 +104,23 @@ def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, o
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
+def test_a_failed_csv_write_leaves_the_target_and_no_temporary(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    class RowFailed(Exception):
+        pass
+
+    def rows():
+        yield ("1", "2")
+        raise RowFailed
+
+    with pytest.raises(RowFailed):
+        cli._write_csv(str(target), ["seed=1"], "a,b", rows())
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_runtime_error_names_its_type(tmp_path, monkeypatch, capsys):
     # an exception without a message must not print a bare "error: "
     def out_of_memory(*args, **kwargs):
@@ -155,6 +172,16 @@ class TestPoint:
     def test_missing_config_file(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["point", "--config", str(missing), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+    def test_integral_float_n_counts_as_an_integer(self, tmp_path):
+        # JSON writers may spell 20000 as 20000.0; the rows must not change
+        rows = []
+        for n in (20000, 20000.0):
+            out = tmp_path / f"{n!r}.csv"
+            cfg = write_config(tmp_path, {"n": n})
+            assert main(["point", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            rows.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert rows[0] == rows[1]
 
     def test_flag_overrides_config_seed(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -224,11 +251,24 @@ VERIFY_QUICK_STDOUT = """\
 [PASS] mc_vs_semi_analytic: PartialCSI: gap=0.000135 limit=0.000359; Fixed: gap=0.00015 limit=0.000393
 """
 
+# `swipt-relay verify` stdout at full counts; its mc_vs_semi_analytic line reads
+# the Monte Carlo kernel's outage counts at n = 200,000.
+VERIFY_STDOUT = """\
+[PASS] full_csi_vs_grid: count=10000 max|drho|=5e-05 max_rel_snr_deficit=0
+[PASS] partial_csi_vs_grid: count=10000 max|drho|=5.12e-05 max_rel_w_deficit=0 bad_infeasible=0
+[PASS] snr_identity: count=100000 max_rel_err=8.14e-16
+[PASS] mc_vs_semi_analytic: PartialCSI: gap=1.41e-05 limit=7.19e-05; Fixed: gap=6.6e-06 limit=7.53e-05
+"""
+
 
 class TestVerify:
     def test_quick_passes(self, capsys):
         assert main(["verify", "--quick"]) == EXIT_OK
         assert capsys.readouterr().out == VERIFY_QUICK_STDOUT
+
+    def test_full_passes(self, capsys):
+        assert main(["verify"]) == EXIT_OK
+        assert capsys.readouterr().out == VERIFY_STDOUT
 
     def test_battery_wall_times_go_to_stderr(self, capsys):
         assert main(["verify", "--quick"]) == EXIT_OK

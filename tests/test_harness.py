@@ -23,4 +23,6 @@ def test_pool_probe_and_tracer_wrap_the_package_and_restore_it(monkeypatch, ref_
     names = {span[0] for span in tracer.spans}
     assert {"sim.outage_point", "channel.substream", "channel.sample_channels",
             "policy.full_csi"} <= names
+    # the kernel's exact outage test is snr(): one call per policy in the one batch
+    assert tracer.children_of("sim.outage_point", "link.snr") == [2]
     assert all(dict(vars(m)) == saved for m, saved in before.items())

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from swipt_relay import sim
 from swipt_relay.channel import FadingParams, sample_channels, substream
-from swipt_relay.link import h_threshold, margin_terms, snr
+from swipt_relay.link import f_of_rho, h_threshold, sigma0_sq, snr
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import (
     Fixed,
@@ -152,9 +152,9 @@ class TestOutageMc:
         assert np.count_nonzero(full != partial) == 0
 
 
-def _reference_mc_batch(params, fading, policies, seed, key, batch_idx, size):
-    """The Monte Carlo batch written plainly: full-batch arrays and snr()."""
-    h, g = sample_channels(substream(seed, *key, batch_idx), fading, size)
+def _reference_stats(params, policies, h, g):
+    """The Monte Carlo batch written plainly on given draws: every draw, no
+    screen, outage as snr() < gamma_0."""
     stats = []
     for pol in policies:
         rho = decide_rho(pol, params, h, g)
@@ -165,6 +165,12 @@ def _reference_mc_batch(params, fading, policies, seed, key, batch_idx, size):
             int(np.count_nonzero(transmitting)),
         ))
     return stats
+
+
+def _reference_mc_batch(params, fading, policies, seed, key, batch_idx, size):
+    """_reference_stats on the batch's own channel draws."""
+    h, g = sample_channels(substream(seed, *key, batch_idx), fading, size)
+    return _reference_stats(params, policies, h, g)
 
 
 class TestMcKernel:
@@ -193,30 +199,11 @@ class TestMcKernel:
         assert outage_point(ref_params, ref_fading, self.POLICIES, GAMMA_0, n, 14) == expected
 
 
-def _unscreened_mc_batch(params, policies, h, g):
-    """_mc_batch's margin-form outage test, g*F(rho) < k_d*(1 - rho) + k_d*q,
-    applied to every draw with no screen."""
-    a, q = margin_terms(params, h)
-    k_p = params.gamma_0 * params.sigma_p_sq
-    k_d = params.gamma_0 * params.sigma_d_eff
-    stats = []
-    for pol in policies:
-        rho = decide_rho(pol, params, h, g)
-        one_minus = 1.0 - rho
-        transmitting = rho < 1.0
-        stats.append((
-            int(np.count_nonzero(g * (rho * (one_minus * a - k_p)) < k_d * one_minus + k_d * q)),
-            float(np.sum(np.where(transmitting, rho, 0.0))),
-            int(np.count_nonzero(transmitting)),
-        ))
-    return stats
-
-
 def _boundary_draws(params, policies, seed, size):
     """(|h|^2, |g|^2) draws where most |g|^2 lie within 4 ulps of some policy's
-    margin-form outage boundary. |h|^2 is mostly log-uniform on [H0/4, 1e4 H0],
-    where the screen's bounds are tightest, and H0 itself or its neighbours for
-    a few draws. The dynamic rules share partial CSI's boundary, since full
+    outage boundary |g|^2 F(rho) = gamma_0 sigma_0^2(rho). |h|^2 is mostly
+    log-uniform on [H0/4, 1e4 H0], where the screen's bounds are tightest, and
+    H0 itself or its neighbours for a few draws. The dynamic rules share partial CSI's boundary, since full
     CSI is in outage on exactly the draws where partial CSI is."""
     rng = np.random.default_rng(seed)
     h0 = h_threshold(params)
@@ -228,10 +215,8 @@ def _boundary_draws(params, policies, seed, size):
     if len(rules) < len(policies):
         rules.append(partial_csi_rho(params, h))
     rho = np.choose(rng.integers(len(rules), size=size), rules)
-    a, q = margin_terms(params, h)
-    k_d = params.gamma_0 * params.sigma_d_eff
-    f = rho * ((1.0 - rho) * a - params.gamma_0 * params.sigma_p_sq)
-    g_edge = (k_d * (1.0 - rho) + k_d * q) / np.where(f > 0.0, f, 1.0)
+    f = f_of_rho(params, h, rho)
+    g_edge = params.gamma_0 * sigma0_sq(params, h, rho) / np.where(f > 0.0, f, 1.0)
     g_edge += rng.integers(-4, 5, size) * np.spacing(g_edge)
     # a few ordinary draws, and every draw where the rule is infeasible
     ordinary = (f <= 0.0) | (rng.random(size) < 0.05)
@@ -240,7 +225,8 @@ def _boundary_draws(params, policies, seed, size):
 
 class TestOutageScreen:
     """_mc_batch runs the exact outage test only on the draws its screen keeps;
-    every count must equal the unscreened test's, draw for draw at the boundary."""
+    every count must equal the snr reference's over all draws, also where the
+    draws sit at the outage boundary."""
     SHIPPED = (FullCSI(), PartialCSI(), Fixed(0.4), Fixed(0.6), Fixed(0.8))
     EXTREME_FIXED = (Fixed(0.001), PartialCSI(), Fixed(0.999))
     DYNAMIC = (FullCSI(), PartialCSI())
@@ -271,7 +257,7 @@ class TestOutageScreen:
             mp.setattr(sim, "sample_channels", draws)
             got = sim._mc_batch((params, FadingParams(1.0, 1.0), policies, seed, (), 0, size))
         assert calls == [size]
-        assert got == _unscreened_mc_batch(params, policies, h, g)
+        assert got == _reference_stats(params, policies, h, g)
 
 
 class TestWorkspace:
