@@ -84,6 +84,8 @@ def _int_from(cfg, args, key, minimum, default=None, maximum=math.inf):
 def _out_path(out):
     if not isinstance(out, str) or not out:
         raise ConfigError(f"output path must be a non-empty string, got {out!r}")
+    if os.path.isdir(out):
+        raise ConfigError(f"output path {out} is a directory")
     directory = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory} does not exist")

@@ -86,7 +86,7 @@ def policy_name(policy: Policy) -> str:
         return "full_csi"
     if isinstance(policy, PartialCSI):
         return "partial_csi"
-    return f"fixed:{policy.rho0:g}"
+    return f"fixed:{float(policy.rho0)!r}"  # round-trips through parse_policy
 
 
 def full_csi_rho(params, h_sq, g_sq, *, terms=None):

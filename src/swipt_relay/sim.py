@@ -9,17 +9,18 @@ process, and merges the results in plan order. Policies compared at the same
 operating point share the same channel draws (common random numbers), which
 sharpens gain and dominance comparisons.
 
-The Monte Carlo kernel draws each batch in full and then evaluates it in
-slices of CHUNK draws, or of POOL_CHUNK on a pool's threads, where numpy's
-loops, which release the GIL, must dominate. Chunking does not change results:
-the per-draw math is elementwise IEEE arithmetic, so a draw's value does not
-depend on the slice it sits in, and every sum (the rho sum included) runs over
-the full batch. In each slice a conservative screen picks the draws that get
-the exact outage test, snr() < gamma_0, which runs once on the batch's picks;
-every other draw is provably not in outage under any policy, so no count
-depends on the screen (see _mc_batch). The batch-sized arrays (h, g and each
-dynamic policy's rho) are rows of a workspace that each thread keeps and
-reuses, so a warm batch allocates nothing batch-sized; no result depends on it.
+Both kernels draw each batch in full and then evaluate it in one slice loop
+(_slices), in slices of CHUNK draws, or of POOL_CHUNK on a pool's threads,
+where numpy's loops, which release the GIL, must dominate. Slicing does not
+change results: the per-draw math is elementwise IEEE arithmetic, and every
+sum runs over the full batch. In the Monte Carlo kernel a conservative screen
+picks, per slice, the draws that get the exact outage test, snr() < gamma_0,
+which runs once on the batch's picks; every other draw is provably not in
+outage under any policy, so no count depends on the screen (see _mc_batch).
+The semi-analytic kernel writes each draw's g-averaged outage per slice. The
+batch-sized arrays (the gains, each dynamic rho and the semi-analytic outage)
+are rows of a workspace that each thread keeps and reuses, so a warm batch of
+either kernel allocates nothing batch-sized; no result depends on it.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ __all__ = [
 # changes which substream produces which draw).
 BATCH_SIZE = 1 << 19
 
-# Draws per slice in _mc_batch; no result depends on them. 2^13-draw temporaries
+# Draws per slice in _slices; no result depends on them. 2^13-draw temporaries
 # stay below glibc's 128 KiB mmap threshold (at 2^15 a fresh process refaulted
 # ~29,000 pages per n = 1e7 point); pool threads need 2^15 to overlap in numpy.
 CHUNK, POOL_CHUNK = 1 << 13, 1 << 15
@@ -147,15 +148,11 @@ def _mc_batch(args):
       computed rather than exact optimum rho: the SNR is flat to second
       order there.
 
-    So every count equals the unscreened test's. Every dynamic rho is still
-    computed on every draw, for the rho sum and n_tx.
-
-    h, g and each dynamic rho live in rows of this thread's workspace, and a
-    Fixed rho0's sum is cached per (rho0, size), so a warm batch allocates
-    nothing batch-sized.
+    So every count equals the unscreened test's. _slices still computes every
+    dynamic rho on every draw, for the rho sum and n_tx, and a Fixed rho0's
+    sum is cached per (rho0, size).
     """
     params, fading, policies, seed, key, batch_idx, size = args
-    chunk = getattr(_local, "chunk", CHUNK)
     dynamic = [pol for pol in policies if not isinstance(pol, Fixed)]
     h_sq, g_sq, *rows = _workspace(2 + len(dynamic), size)
     h_sq, g_sq = sample_channels(substream(seed, *key, batch_idx), fading, size,
@@ -166,20 +163,9 @@ def _mc_batch(args):
     screen_rhos = [0.5] + [pol.rho0 for pol in policies if isinstance(pol, Fixed)]
     a_min = max(2.0 * k_p / (1.0 - r) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     k_min = max(2.0 * k_d / (r * (1.0 - r)) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
-    # Per slice: the screen, which keeps the candidates' indices, and each
-    # dynamic rho, written into its row. The row is zeroed where the relay
-    # only harvests, so its sum is one np.sum over the batch.
     cand, n_tx = [], [0] * len(dynamic)
-    for lo in range(0, size, chunk):
-        h, g = h_sq[lo:lo + chunk], g_sq[lo:lo + chunk]
-        a, q = margin_terms(params, h)
-        cand.append(np.flatnonzero((a < a_min) | (g * a < k_min * (1.0 + q))) + lo)
-        for j, pol in enumerate(dynamic):
-            rho = rows[j][lo:lo + chunk]
-            rho[...] = decide_rho(pol, params, h, g, terms=(a, q))
-            transmitting = rho < 1.0
-            n_tx[j] += int(np.count_nonzero(transmitting))
-            rho[~transmitting] = 0.0
+    for s, a, q in _slices(params, h_sq, g_sq, dynamic, rows, n_tx):
+        cand.append(np.flatnonzero((a < a_min) | (g_sq[s] * a < k_min * (1.0 + q))) + s.start)
     # The exact test, once on all the batch's candidates. A harvest-only
     # draw's zeroed rho gives snr = 0, so it is in outage, as at rho = 1.
     cand = np.concatenate(cand)
@@ -214,21 +200,39 @@ def _fixed_rho_sum(rho0, size):
     return float(np.sum(np.broadcast_to(rho0, size)))
 
 
+def _slices(params, h_sq, g_sq, policies, rows, n_tx):
+    """The slice loop of both kernels. Per slice s of this thread's chunk
+    length, writes policy j's rho over s into rows[j], zeroed where the relay
+    only harvests (so a row's np.sum is the rho sum), adds the slice's
+    transmitting draws to n_tx[j], and yields (s, a, q), with (a, q) the
+    margin terms of h_sq[s]. g_sq is None when no policy reads |g|^2."""
+    chunk = getattr(_local, "chunk", CHUNK)
+    for lo in range(0, len(h_sq), chunk):
+        s = slice(lo, lo + chunk)
+        h, g = h_sq[s], None if g_sq is None else g_sq[s]
+        a, q = margin_terms(params, h)
+        for j, pol in enumerate(policies):
+            rho = rows[j][s]
+            rho[...] = decide_rho(pol, params, h, g, terms=(a, q))
+            transmitting = rho < 1.0
+            n_tx[j] += int(np.count_nonzero(transmitting))
+            rho[~transmitting] = 0.0
+        yield s, a, q
+
+
 def _sa_batch(args):
-    """One batch of h-only draws with the analytic g-average per draw."""
-    params, fading, policy, seed, key, batch_idx, size = args
-    rng = substream(seed, *key, batch_idx)
-    h_sq = sample_gains(rng, fading.lambda_h, size)
-    terms = margin_terms(params, h_sq)
-    rho = decide_rho(policy, params, h_sq, None, terms=terms)
-    p = conditional_outage(params, h_sq, rho, fading.lambda_g, terms=terms)
-    transmitting = rho < 1.0
-    return (
-        float(p.sum()),
-        float(np.square(p).sum()),
-        float(np.sum(np.where(transmitting, rho, 0.0))),
-        int(np.count_nonzero(transmitting)),
-    )
+    """One batch of h-only draws for one policy, each draw's outage p averaged
+    over g in closed form: [(sum p, sum p^2, rho_sum, n_tx)], _mc_batch's
+    layout. A harvest-only draw's zeroed rho is infeasible, so its p is 1, as
+    at rho = 1. h, rho and p are workspace rows; every sum is batch-wide."""
+    params, fading, (policy,), seed, key, batch_idx, size = args
+    h_sq, rho, p = _workspace(3, size)
+    sample_gains(substream(seed, *key, batch_idx), fading.lambda_h, size, out=h_sq)
+    n_tx = [0]
+    for s, a, q in _slices(params, h_sq, None, [policy], [rho], n_tx):
+        p[s] = conditional_outage(params, h_sq[s], rho[s], fading.lambda_g, terms=(a, q))
+    p_sum = float(np.sum(p))
+    return [(p_sum, float(np.sum(np.square(p, out=p))), float(np.sum(rho)), n_tx[0])]
 
 
 def _map_batches(fn, points, n, seed, workers):
@@ -252,34 +256,33 @@ def _map_batches(fn, points, n, seed, workers):
     return [results[i:i + count] for i in range(0, len(results), count)]
 
 
-def _estimate(p, std_err, n, rho_sum, n_tx) -> OutageEstimate:
-    """OutageEstimate with rho averaged over the n_tx transmitting draws."""
-    return OutageEstimate(
-        p_out=p,
-        std_err=std_err,
-        n=n,
-        mean_rho=(rho_sum / n_tx) if n_tx else float("nan"),
-        harvest_only_fraction=(n - n_tx) / n,
-    )
-
-
-def _mc_estimates(per_batch, n):
-    """One OutageEstimate per policy from the _mc_batch results of one point."""
+def _estimates(per_batch, n, std_err):
+    """One OutageEstimate per policy from the batch results of one point. A
+    policy's result per batch starts with its outage sum and ends with
+    (rho_sum, n_tx); std_err(p, results) gives the standard error of p, and
+    rho is averaged over the n_tx transmitting draws."""
     estimates = []
-    for stats in zip(*per_batch):  # one policy's (n_out, rho_sum, n_tx) per batch
-        p = sum(s[0] for s in stats) / n
-        estimates.append(_estimate(p, math.sqrt(p * (1.0 - p) / n), n,
-                                   math.fsum(s[1] for s in stats), sum(s[2] for s in stats)))
+    for stats in zip(*per_batch):  # one policy's result per batch
+        p, n_tx = math.fsum(s[0] for s in stats) / n, sum(s[-1] for s in stats)
+        estimates.append(OutageEstimate(
+            p_out=p, std_err=std_err(p, stats), n=n,
+            mean_rho=math.fsum(s[-2] for s in stats) / n_tx if n_tx else float("nan"),
+            harvest_only_fraction=(n - n_tx) / n))
     return estimates
 
 
-def outage_point(params, fading, policies, gamma_0, n, seed, key=(), workers=1):
+def _mc_estimates(per_batch, n):
+    """_estimates of _mc_batch results, whose outage indicators are Bernoulli."""
+    return _estimates(per_batch, n, lambda p, stats: math.sqrt(p * (1.0 - p) / n))
+
+
+def outage_point(params, fading, policies, gamma_0, n, seed, workers=1):
     """Monte Carlo outage for several policies on shared channel draws, one
     OutageEstimate per policy in order. gamma_0 must equal params.gamma_0."""
     if gamma_0 != params.gamma_0:
         raise ValueError(f"gamma_0={gamma_0!r} is not params.gamma_0={params.gamma_0!r}")
     head = (params, fading, tuple(policies))
-    return _mc_estimates(_map_batches(_mc_batch, [(head, key)], n, seed, workers)[0], n)
+    return _mc_estimates(_map_batches(_mc_batch, [(head, ())], n, seed, workers)[0], n)
 
 
 def outage_mc(params, fading, policy, n, seed) -> OutageEstimate:
@@ -288,25 +291,20 @@ def outage_mc(params, fading, policy, n, seed) -> OutageEstimate:
 
 
 def outage_semi_analytic(params, fading, policy, n_h, seed) -> OutageEstimate:
-    """Outage via sampled h and the closed-form expectation over g.
-
-    Only valid for policies whose rho does not depend on g (PartialCSI and
-    Fixed); the per-draw conditional outage is analytic, so the estimator
-    averages [0,1]-valued quantities and its standard error comes from their
-    sample variance, not a Bernoulli model.
+    """Outage via sampled h and the closed-form expectation over g, for a
+    policy whose rho does not depend on g (PartialCSI, Fixed): FullCSI's needs
+    the |g|^2 this estimator never draws. The per-draw outage lies in [0, 1],
+    so the standard error comes from its sample variance, not a Bernoulli model.
     """
     if isinstance(policy, FullCSI):
         raise ValueError("semi-analytic estimator requires a g-independent policy")
-    head = (params, fading, policy)
-    per_batch = _map_batches(_sa_batch, [(head, ())], n_h, seed, 1)[0]
-    s1 = math.fsum(b[0] for b in per_batch)
-    s2 = math.fsum(b[1] for b in per_batch)
-    rho_sum = math.fsum(b[2] for b in per_batch)
-    n_tx = sum(b[3] for b in per_batch)
-    p = s1 / n_h
-    var = (s2 - n_h * p * p) / (n_h - 1) if n_h > 1 else 0.0
-    var = max(var, 0.0)  # clip tiny negative rounding residue
-    return _estimate(p, math.sqrt(var / n_h), n_h, rho_sum, n_tx)
+
+    def std_err(p, stats):
+        var = (math.fsum(s[1] for s in stats) - n_h * p * p) / (n_h - 1) if n_h > 1 else 0.0
+        return math.sqrt(max(var, 0.0) / n_h)  # clip tiny negative rounding residue
+
+    head = (params, fading, (policy,))
+    return _estimates(_map_batches(_sa_batch, [(head, ())], n_h, seed, 1)[0], n_h, std_err)[0]
 
 
 def gain_eta(p_out_x: float, p_out_ref: float) -> float:
@@ -366,7 +364,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple:
     Each sweep point owns the substream key (point_index,); within a point all
     policies share channel draws. The batches of all points form one plan and
     one map, so a sweep starts at most one thread pool; results are split back
-    per point in plan order, so point i's estimates equal outage_point(..., key=(i,)).
+    per point in plan order, so point i's estimates depend only on its own batches.
     """
     configs = [_point_config(spec, value) for value in spec.values]
     plan = [((p, f, tuple(spec.policies)), (i,)) for i, (p, f) in enumerate(configs)]

@@ -41,6 +41,7 @@ def write_config(tmp_path, overrides=None, name="config.json"):
 NAN = float("nan")
 LAMBDA_G_SWEEP = {"variable": "lambda_g", "values": [1.0, 2.0]}
 NO_FIXED_08 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6"]
+LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.8"]
 
 
 @pytest.mark.parametrize("command,overrides", [
@@ -73,6 +74,9 @@ NO_FIXED_08 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6"]
     ("sweep", {"sweep": {"variable": "rate_bps_hz", "values": [1.0, 2.0]}}),
     ("sweep", {"sweep": {"variable": "lambda_g", "values": [2.0, 1.0]}}),
     ("point", {"n": None}),
+    ("gains", {"sweep": LAMBDA_G_SWEEP, "policies": LOSSY_06}),
+    ("point", {"argv": ["--out", "."]}),
+    ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "."}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -80,7 +84,7 @@ NO_FIXED_08 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6"]
     "workers-zero", "workers-negative", "n-huge", "n-above-2^53", "out-flag-empty",
     "json-invalid", "json-array", "policies-missing", "policies-empty", "policies-not-list",
     "sweep-missing", "sweep-variable-missing", "sweep-variable-unknown", "values-decreasing",
-    "n-missing",
+    "n-missing", "gains-rho0-not-0.6", "out-flag-directory", "gains_out-directory",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing

@@ -5,7 +5,7 @@ import importlib
 from pathlib import Path
 
 from swipt_relay import cli, sim, verify
-from swipt_relay.policy import Fixed, FullCSI
+from swipt_relay.policy import Fixed, FullCSI, PartialCSI
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +26,13 @@ def test_pool_probe_and_tracer_wrap_the_package_and_restore_it(monkeypatch, ref_
     # the kernel's exact outage test is snr(): one call per policy in the one batch
     assert tracer.children_of("sim.outage_point", "link.snr") == [2]
     assert all(dict(vars(m)) == saved for m, saved in before.items())
+
+
+def test_the_semi_analytic_kernel_evaluates_each_slice_once(monkeypatch, ref_params, ref_fading):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        sim.outage_semi_analytic(ref_params, ref_fading, PartialCSI(), 3 * sim.CHUNK, 5)
+    # one batch of three slices: one conditional_outage call per slice
+    assert tracer.children_of("sim.outage_semi_analytic", "link.conditional_outage") == [3]

@@ -272,10 +272,13 @@ class TestPolicyNames:
         assert isinstance(p, cls)
         assert policy_name(p) == name
 
-    def test_parse_fixed(self):
-        p = parse_policy("fixed:0.4")
-        assert p == Fixed(0.4)
-        assert policy_name(p) == "fixed:0.4"
+    @pytest.mark.parametrize("rho0", [0.4, 0.6000001, 1.234567e-05])
+    def test_parse_fixed(self, rho0):
+        p = parse_policy(f"fixed:{rho0}")
+        assert p == Fixed(rho0)
+        assert policy_name(p) == f"fixed:{rho0}"  # every digit of rho0, not 6 of them
+        assert parse_policy(policy_name(p)) == p
+        assert policy_name(Fixed(np.float64(rho0))) == policy_name(p)
 
     @pytest.mark.parametrize("bad", ["fixed", "fixed:x", "grid", ""])
     def test_parse_rejects_unknown(self, bad):

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from swipt_relay import sim
-from swipt_relay.channel import FadingParams, sample_channels, substream
-from swipt_relay.link import f_of_rho, h_threshold, sigma0_sq, snr
+from swipt_relay.channel import FadingParams, sample_channels, sample_gains, substream
+from swipt_relay.link import conditional_outage, f_of_rho, h_threshold, sigma0_sq, snr
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import (
     Fixed,
@@ -25,6 +25,7 @@ from swipt_relay.policy import (
     partial_csi_rho,
 )
 from swipt_relay.sim import (
+    OutageEstimate,
     SweepSpec,
     gain_eta,
     gains_from_sweep,
@@ -244,20 +245,44 @@ class TestOutageScreen:
                               sigma_d_sq=sd, rate=rate, epsilon=epsilon)
         size = sim.CHUNK + 999  # a full slice and a short one
         h, g = _boundary_draws(params, policies, seed, size)
-        calls = []
+        assert _mc_batch_on(params, policies, h, g) == _reference_stats(params, policies, h, g)
 
-        def draws(rng, fading, n, out):
-            """The boundary draws, written into the kernel's workspace rows."""
-            calls.append(n)
-            np.copyto(out[0], h)
-            np.copyto(out[1], g)
-            return out
+    def test_the_slack_keeps_the_outages_where_the_bound_is_tight(self, monkeypatch):
+        """Both bounds of the screen are nearly tight at gamma_0 -> 0, rho = 1/2,
+        a = A* (1 + delta) with A* = 4 k_p and a huge q: the screen's bound on
+        |g|^2 is then about 1 + delta times the outage boundary. With delta
+        below 1e-8 and |g|^2 within 4 ulps of the boundary, a slack of -1e-9
+        drops the outages with delta below about 1e-9; the shipped slack keeps them."""
+        params = SystemParams(p_s=dbm_to_linear(0.0), sigma_r_sq=dbm_to_linear(-100.0),
+                              sigma_p_sq=dbm_to_linear(-5.0),
+                              sigma_d_sq=dbm_to_linear(-20.0), rate=1e-15)
+        policies, size = (Fixed(0.5),), sim.CHUNK + 999
+        rng = np.random.default_rng(16)
+        a = 4.0 * params.gamma_0 * params.sigma_p_sq * (1.0 + rng.uniform(0.0, 1e-8, size))
+        h = (a + params.gamma_0 * params.sigma_r_sq) / params.p_s
+        g = params.gamma_0 * sigma0_sq(params, h, 0.5) / f_of_rho(params, h, 0.5)
+        g += rng.integers(-4, 5, size) * np.spacing(g)
+        (expected, _, _), = _reference_stats(params, policies, h, g)
+        assert _mc_batch_on(params, policies, h, g)[0][0] == expected
+        monkeypatch.setattr(sim, "SCREEN_SLACK", -1e-9)
+        assert _mc_batch_on(params, policies, h, g)[0][0] < expected
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "sample_channels", draws)
-            got = sim._mc_batch((params, FadingParams(1.0, 1.0), policies, seed, (), 0, size))
-        assert calls == [size]
-        assert got == _reference_stats(params, policies, h, g)
+
+def _mc_batch_on(params, policies, h, g):
+    """_mc_batch on the given draws, written into its workspace rows."""
+    calls = []
+
+    def draws(rng, fading, n, out):
+        calls.append(n)
+        np.copyto(out[0], h)
+        np.copyto(out[1], g)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "sample_channels", draws)
+        got = sim._mc_batch((params, FadingParams(1.0, 1.0), policies, 0, (), 0, len(h)))
+    assert calls == [len(h)]
+    return got
 
 
 class TestWorkspace:
@@ -340,7 +365,53 @@ class TestSampleCount:
             run_sweep(spec)
 
 
+def _reference_sa_batch(params, fading, policy, seed, key, batch_idx, size):
+    """The semi-analytic batch written plainly, on fresh full-batch arrays."""
+    h_sq = sample_gains(substream(seed, *key, batch_idx), fading.lambda_h, size)
+    rho = decide_rho(policy, params, h_sq, None)
+    p = conditional_outage(params, h_sq, rho, fading.lambda_g)
+    transmitting = rho < 1.0
+    return (float(p.sum()), float(np.square(p).sum()),
+            float(np.sum(np.where(transmitting, rho, 0.0))), int(np.count_nonzero(transmitting)))
+
+
+def _reference_semi_analytic(params, fading, policy, n_h, seed):
+    """outage_semi_analytic written plainly: _reference_sa_batch per batch,
+    sums merged with fsum, standard error from the sample variance."""
+    sizes = [min(sim.BATCH_SIZE, n_h - lo) for lo in range(0, n_h, sim.BATCH_SIZE)]
+    batches = [_reference_sa_batch(params, fading, policy, seed, (), b, size)
+               for b, size in enumerate(sizes)]
+    s1, s2, rho_sum = (math.fsum(batch[i] for batch in batches) for i in range(3))
+    n_tx = sum(batch[3] for batch in batches)
+    p = s1 / n_h
+    var = max((s2 - n_h * p * p) / (n_h - 1), 0.0) if n_h > 1 else 0.0
+    return OutageEstimate(p_out=p, std_err=math.sqrt(var / n_h), n=n_h,
+                          mean_rho=rho_sum / n_tx if n_tx else float("nan"),
+                          harvest_only_fraction=(n_h - n_tx) / n_h)
+
+
 class TestSemiAnalytic:
+    @pytest.mark.parametrize("n_h", [1, sim.CHUNK - 1, sim.CHUNK + 1, sim.BATCH_SIZE + 12345])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5])
+    @pytest.mark.parametrize("policy", [PartialCSI(), Fixed(0.6)])
+    def test_equals_the_full_batch_reference(self, ref_params, ref_fading, policy, epsilon, n_h):
+        params = dataclasses.replace(ref_params, epsilon=epsilon)
+        assert (outage_semi_analytic(params, ref_fading, policy, n_h, 17)
+                == _reference_semi_analytic(params, ref_fading, policy, n_h, 17))
+
+    def test_a_warm_batch_allocates_nothing_batch_sized(self, ref_params, ref_fading):
+        # a 2^19-draw array is 4 MiB: the full-batch reference peaks at about 36 MiB
+        params = dataclasses.replace(ref_params, p_s=dbm_to_linear(50.0))
+        args = (params, ref_fading, (PartialCSI(),), 41, (), 0, sim.BATCH_SIZE)
+        sim._sa_batch(args)
+        tracemalloc.start()
+        try:
+            sim._sa_batch(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
     def test_rejects_full_csi(self, ref_params, ref_fading):
         with pytest.raises(ValueError):
             outage_semi_analytic(ref_params, ref_fading, FullCSI(), 100, 1)
@@ -545,8 +616,9 @@ class TestOnePoolPerSweep:
         per_point = len(self.POLICIES)
         for i, value in enumerate(spec.values):
             params = dataclasses.replace(ref_params, p_s=dbm_to_linear(value))
-            expected = outage_point(params, ref_fading, self.POLICIES, params.gamma_0,
-                                    n, spec.seed, key=(i,))
+            expected = sim._mc_estimates([
+                _reference_mc_batch(params, ref_fading, self.POLICIES, spec.seed, (i,), b, size)
+                for b, size in enumerate((self.BATCH, self.BATCH, 7))], n)
             got = rows[i * per_point:(i + 1) * per_point]
             assert [r.sweep_value for r in got] == [value] * per_point
             assert [r.policy for r in got] == list(self.POLICIES)
