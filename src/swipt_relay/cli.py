@@ -20,7 +20,6 @@ from .channel import FadingParams
 from .params import ConfigError, require_number, validate
 from .policy import parse_policy, policy_name
 from .sim import GAIN_BASELINE, GAIN_POLICIES, SweepSpec, gains_from_sweep, outage_point, run_sweep
-from . import verify as verify_mod
 
 DEFAULT_SEED = 12345
 
@@ -223,7 +222,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(quick=args.quick)
+    from .verify import run_all  # only this command needs the batteries
+    results = run_all(quick=args.quick)
     failed = False
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -28,8 +28,6 @@ import dataclasses
 import math
 import os
 import threading
-# No batch runs in a process pool; perfbench/spans.py reads sim.ProcessPoolExecutor.
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -249,11 +247,22 @@ def _map_batches(fn, points, n, seed, workers):
     if workers <= 1:
         results = [fn(a) for a in args]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # not needed at start-up
         # ex.map returns results in submission order: the split below ignores scheduling.
         with ThreadPoolExecutor(workers, initializer=setattr,  # each thread slices at POOL_CHUNK
                                 initargs=(_local, "chunk", POOL_CHUNK)) as ex:
             results = list(ex.map(fn, args))
     return [results[i:i + count] for i in range(0, len(results), count)]
+
+
+def __getattr__(name):
+    """sim.ProcessPoolExecutor, imported on first read and then cached. No batch
+    runs in a process pool; perfbench/spans.py's PoolProbe reads this name."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _estimates(per_batch, n, std_err):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swipt_relay import cli
+from swipt_relay import cli, verify
 from swipt_relay.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -134,6 +138,29 @@ def test_runtime_error_names_its_type(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     assert main(["point", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_RUNTIME
     assert capsys.readouterr().err == "error: MemoryError: \n"
+
+
+# A fresh process runs this sweep; only `verify` and `--workers` > 1 need the
+# modules it checks for, so start-up must not import them.
+FRESH_SWEEP = """
+import sys
+from swipt_relay import cli
+code = cli.main(["sweep", "--config", sys.argv[1], "--n", "0"])
+loaded = [m for m in ("multiprocessing", "concurrent.futures", "swipt_relay.verify")
+          if m in sys.modules]
+import concurrent.futures
+from swipt_relay import sim
+print(code, loaded, sim.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)
+"""
+
+
+def test_a_fresh_cli_imports_neither_pool_nor_verify():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_SWEEP, str(root / "demos/config.example.json")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == f"{EXIT_CONFIG} [] True\n"
 
 
 class TestPoint:
@@ -289,11 +316,11 @@ class TestVerify:
     def test_fault_injection_fails(self, monkeypatch, capsys):
         # a full-CSI rule 0.05 off the optimum must fail its battery; the
         # battery hands the closed form whole arrays, hence np.minimum
-        optimum = cli.verify_mod.full_csi_rho
+        optimum = verify.full_csi_rho
 
         def off_optimum(params, h_sq, g_sq):
             return np.minimum(optimum(params, h_sq, g_sq) + 0.05, 0.999999)
 
-        monkeypatch.setattr(cli.verify_mod, "full_csi_rho", off_optimum)
+        monkeypatch.setattr(verify, "full_csi_rho", off_optimum)
         assert main(["verify", "--quick"]) == EXIT_VERIFY
         assert "[FAIL] full_csi_vs_grid" in capsys.readouterr().out

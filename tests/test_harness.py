@@ -14,6 +14,7 @@ def test_pool_probe_and_tracer_wrap_the_package_and_restore_it(monkeypatch, ref_
                                                                ref_fading):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
+    sim.ProcessPoolExecutor  # imported on first read; the probe's restore caches it
     before = {m: dict(vars(m)) for m in (sim, verify, cli)}
     probe, tracer = spans.PoolProbe(), spans.Tracer()
     with probe.installed(), spans.traced(tracer):

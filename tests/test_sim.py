@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
@@ -40,10 +41,11 @@ GAMMA_0 = 7.0
 
 
 def install_serial_pool(monkeypatch, cpus):
-    """Patch sim's ThreadPoolExecutor with a serial stand-in and report
-    os.cpu_count() as cpus. Returns the list of max_workers, one entry per
-    pool started. No thread is started, and the pool's thread initializer does
-    not run, so the calling thread keeps slicing at CHUNK."""
+    """Patch concurrent.futures.ThreadPoolExecutor, which sim imports at call
+    time, with a serial stand-in and report os.cpu_count() as cpus. Returns the
+    list of max_workers, one entry per pool started. No thread is started, and
+    the pool's thread initializer does not run, so the calling thread keeps
+    slicing at CHUNK."""
     started = []
 
     class SerialPool:
@@ -68,7 +70,7 @@ def install_serial_pool(monkeypatch, cpus):
                     results[i] = fn(items[i])
             return iter(results)
 
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
     return started
 
