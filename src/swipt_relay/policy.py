@@ -14,8 +14,10 @@ Every rule returns rho, a scalar or an array shaped like the channel;
 rho = 1 means a harvest-only block.
 
 The oracle_grid_* functions are deliberately brute force and call no closed
-form, not even the threshold H0. They are the independent verification route
-for the closed forms and must stay that way.
+form, not even the threshold H0: they are the independent verification route
+for the closed forms and must stay that way. Each scans a uniform rho grid,
+ties going to the smaller rho, for a block of instances at a time: its
+objective is one matrix product of per-instance coefficients with grid rows.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .link import h_threshold, margin_terms, snr, w_ratio
+from .link import h_threshold, margin_terms
 
 __all__ = [
     "Fixed",
@@ -40,6 +42,8 @@ __all__ = [
     "oracle_grid_full",
     "oracle_grid_partial",
 ]
+
+BLOCK_VALUES = 2 ** 17  # values a grid oracle's block temporaries hold: 1 MiB, in L2
 
 
 @dataclass(frozen=True)
@@ -139,18 +143,50 @@ def _rho_grid(step: float) -> np.ndarray:
     return grid
 
 
-def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4) -> float:
-    """Brute-force argmax of snr() over a uniform rho grid (ties to smaller rho)."""
-    grid = _rho_grid(step)
-    vals = snr(params, h_sq, g_sq, grid)
-    return float(grid[int(np.argmax(vals))])
+@lru_cache(maxsize=4)
+def _grid_rows(step: float) -> np.ndarray:
+    """The oracles' read-only grid rows: 1/(1-rho), 1/rho, 1/(rho(1-rho)) for
+    the full-CSI objective, rho(1-rho), rho, 1-rho for the partial-CSI one."""
+    rho = _rho_grid(step)
+    info = 1.0 - rho
+    rows = np.array([1.0 / info, 1.0 / rho, 1.0 / (rho * info), rho * info, rho, info])
+    rows.flags.writeable = False
+    return rows
 
 
-def oracle_grid_partial(params, h_sq, step: float = 1e-4) -> float:
-    """Brute-force argmax of W(rho) = F/sigma_0^2 over the grid. sigma_0^2 > 0,
-    so W has the sign of F: W <= 0 at the argmax means no grid point has
-    F(rho) > 0, outage is certain and the decision is harvest-only (rho = 1)."""
-    grid = _rho_grid(step)
-    w = w_ratio(params, h_sq, grid)
-    best = int(np.argmax(w))
-    return float(grid[best]) if w[best] > 0.0 else 1.0
+def _by_block(pick, held, step, *columns):
+    """Each instance's rho, by pick(coef, rows, grid) on blocks of instances with
+    `held` (block, grid) temporaries; one broadcast column per coefficient."""
+    columns = np.broadcast_arrays(*columns)
+    coef = np.stack(columns, axis=-1).reshape(-1, len(columns))
+    grid, rows = _rho_grid(step), _grid_rows(step)
+    size = max(1, BLOCK_VALUES // (held * grid.size))
+    rho = np.empty(len(coef))
+    for i in range(0, len(coef), size):
+        rho[i:i + size] = pick(coef[i:i + size], rows, grid)
+    return float(rho[0]) if columns[0].ndim == 0 else rho.reshape(columns[0].shape)
+
+
+def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4):
+    """Brute-force argmax of snr() over the grid, as the argmin of
+    L = g^2 sp^2/(1-rho) + sd^2/rho + sd^2 sp^2/((P_s h^2 + sr^2) rho(1-rho)):
+    snr()'s denominator terms over its numerator P_s h^2 g^2 rho(1-rho), less
+    the rho-free g^2 sr^2. It shares no algebra with the closed form's c1."""
+    sp, sd = params.sigma_p_sq, params.sigma_d_eff
+    return _by_block(lambda coef, rows, grid: grid[np.argmin(coef @ rows[:3], axis=1)], 1,
+                     step, g_sq * sp, sd, sd * sp / (params.p_s * h_sq + params.sigma_r_sq))
+
+
+def oracle_grid_partial(params, h_sq, step: float = 1e-4):
+    """Brute-force argmax of W(rho) = F/sigma_0^2 over the grid, as that of
+    sd^2 W = (a rho(1-rho) - gamma_0 sp^2 rho)/((1 - rho) + q), with a and q
+    from margin_terms. sigma_0^2 > 0, so W has the sign of F: W <= 0 at the
+    argmax means no grid point has F(rho) > 0, outage is certain and the
+    decision is harvest-only (rho = 1)."""
+    def pick(coef, rows, grid):
+        w = coef[:, :2] @ rows[3:5]
+        w /= coef[:, 2:] + rows[5]
+        best = np.argmax(w, axis=1)
+        return np.where(w[np.arange(len(w)), best] > 0.0, grid[best], 1.0)
+    a, q = margin_terms(params, h_sq)
+    return _by_block(pick, 2, step, a, -params.gamma_0 * params.sigma_p_sq, q)

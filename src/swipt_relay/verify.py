@@ -8,8 +8,9 @@ the Monte Carlo one. The CLI `verify` command runs all of them; the
 acceptance tests run the same code at full instance counts.
 
 The two grid batteries and the SNR identity work on whole arrays: one draw,
-one closed-form call and one comparison per battery, over a record array of
-the instances' parameters. Only the brute-force oracles run per instance.
+one closed-form call, one oracle call and one comparison per battery, over a
+record array of the instances' parameters. The oracles minimize snr()'s
+denominator over its numerator and maximize sd^2 W, ties to the smaller rho.
 """
 from __future__ import annotations
 
@@ -117,14 +118,13 @@ def battery_full_csi(count=10_000, seed=2024) -> BatteryResult:
     """Closed-form SNR-optimal rho vs grid argmax.
 
     Checks |rho_closed - rho_grid| <= 2*STEP and that the closed form's SNR is
-    never below the grid's best by more than 1e-9 relative. The closed form
-    and both SNRs take one array call each; only the oracle runs per instance.
+    never below the grid's best by more than 1e-9 relative. The closed form,
+    the oracle and both SNRs take one array call each.
     """
     params, h_sq, g_sq = _draw_full(substream(seed), count)
     view = _stack(params)
     rho_cf = full_csi_rho(view, h_sq, g_sq)
-    rho_grid = np.array([oracle_grid_full(p, h, g, STEP)
-                         for p, h, g in zip(params, h_sq.tolist(), g_sq.tolist())])
+    rho_grid = oracle_grid_full(view, h_sq, g_sq, STEP)
     snr_cf = snr(view, h_sq, g_sq, rho_cf)
     snr_grid = snr(view, h_sq, g_sq, rho_grid)
     worst_drho = _worst(np.abs(rho_cf - rho_grid))
@@ -145,8 +145,7 @@ def battery_partial_csi(count=10_000, seed=2025) -> BatteryResult:
     params, h_sq = _draw_partial(substream(seed), count)
     view = _stack(params)
     rho_cf = partial_csi_rho(view, h_sq)
-    rho_grid = np.array([oracle_grid_partial(p, h, STEP)
-                         for p, h in zip(params, h_sq.tolist())])
+    rho_grid = oracle_grid_partial(view, h_sq, STEP)
     # rho_grid == 1: harvest-only, or a feasible interval narrower than STEP
     harvest = rho_grid == 1.0
     feasible = (0.0 < rho_cf) & (rho_cf < 1.0) & (f_of_rho(view, h_sq, rho_cf) > 0.0)

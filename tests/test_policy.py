@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,37 @@ GAMMA_0 = 7.0
 # by 1e-6-step grid search on the respective objectives.
 FULL_RHO_REF = 0.5356034165509731
 PART_RHO_REF = 0.9976912602008429
+
+
+def literal_oracle_full(params, h_sq, g_sq, step):
+    """The full-CSI grid oracle as the literal argmax of snr() over the grid."""
+    grid = policy._rho_grid(step)
+    return float(grid[int(np.argmax(snr(params, h_sq, g_sq, grid)))])
+
+
+def literal_oracle_partial(params, h_sq, step):
+    """The partial-CSI grid oracle as the literal argmax of w_ratio over the grid,
+    harvest-only (rho = 1) when W <= 0 there."""
+    grid = policy._rho_grid(step)
+    w = w_ratio(params, h_sq, grid)
+    best = int(np.argmax(w))
+    return float(grid[best]) if w[best] > 0.0 else 1.0
+
+
+def assert_oracles_match_the_literal_argmax(seed, count, step=verify.STEP):
+    """Both oracles, one array call each on the battery's draws, give the
+    literal argmax on every instance; returns the share of harvest-only draws."""
+    params, h_sq, g_sq = verify._draw_full(substream(seed), count)
+    rho = oracle_grid_full(verify._stack(params), h_sq, g_sq, step)
+    assert rho.shape == h_sq.shape
+    assert rho.tolist() == [literal_oracle_full(p, h, g, step) for p, h, g
+                            in zip(params, h_sq.tolist(), g_sq.tolist())]
+    params, h_sq = verify._draw_partial(substream(seed), count)
+    rho = oracle_grid_partial(verify._stack(params), h_sq, step)
+    assert rho.shape == h_sq.shape
+    assert rho.tolist() == [literal_oracle_partial(p, h, step)
+                            for p, h in zip(params, h_sq.tolist())]
+    return float(np.mean(rho == 1.0))
 
 
 def masked_oracle_partial(params, h_sq, step):
@@ -261,6 +293,66 @@ class TestOracles:
         narrow = h0 * (1.0 + 2e-5)
         assert 0.0 < textbook_rho_max(ref_params, narrow, GAMMA_0) < 1e-4
         assert oracle_grid_partial(ref_params, narrow, 1e-4) == 1.0
+
+
+class TestOraclesEqualTheLiteralArgmax:
+    """The block-wise oracles against the argmax of snr() or w_ratio itself."""
+
+    @pytest.mark.parametrize("battery,seed", [
+        (verify.battery_full_csi, 2024), (verify.battery_partial_csi, 2025)])
+    def test_on_the_draws_verify_runs(self, battery, seed):
+        # run_all takes the default seeds, at 10,000 instances (1,000 with --quick,
+        # the first 1,000 of the same draws)
+        assert battery.__defaults__ == (10_000, seed)
+        for count in (10_000, 1_000):
+            harvest = assert_oracles_match_the_literal_argmax(seed, count)
+            assert 0.1 < harvest < 0.25
+
+    @pytest.mark.parametrize("seed", [2024, 2025, 4242])
+    def test_on_the_scalar_loop_seeds(self, seed):
+        assert_oracles_match_the_literal_argmax(seed, 1000)
+
+    def test_at_block_edges(self):
+        # instances per block: the full-CSI oracle holds one (block, grid)
+        # temporary, the partial-CSI one two
+        size = policy._rho_grid(verify.STEP).size
+        rows = {policy.BLOCK_VALUES // (held * size) for held in (1, 2)}
+        assert min(rows) > 1
+        counts = {1} | {n + d for n in rows for d in (-1, 0, 1)}
+        for count in sorted(counts):
+            assert_oracles_match_the_literal_argmax(31 + count, count)
+
+    def test_at_a_finer_step(self):
+        # 99,999 grid points: one instance per block
+        assert_oracles_match_the_literal_argmax(32, 40, step=1e-5)
+
+    def test_return_types(self, ref_params):
+        h = np.array([[1e-5, 0.5, 1.5], [3.0, 1.0, 10.0]])
+        g = np.array([0.2, 1.5, 4.0])
+        assert type(oracle_grid_full(ref_params, 1.5, 1.5)) is float
+        assert type(oracle_grid_partial(ref_params, 1.5)) is float
+        full = oracle_grid_full(ref_params, h, g)
+        partial = oracle_grid_partial(ref_params, h)
+        assert full.shape == partial.shape == h.shape
+        for i, j in np.ndindex(h.shape):
+            assert full[i, j] == literal_oracle_full(ref_params, h[i, j], g[j], 1e-4)
+            assert partial[i, j] == literal_oracle_partial(ref_params, h[i, j], 1e-4)
+        assert partial[0, 0] == 1.0  # below H0 = 1.4e-5
+
+    @pytest.mark.parametrize("oracle,draw,seed", [
+        (oracle_grid_full, verify._draw_full, 2024),
+        (oracle_grid_partial, verify._draw_partial, 2025)])
+    def test_a_full_count_call_stays_small(self, oracle, draw, seed):
+        # one (10^4, 9,999) matrix of objective values would take about 800 MB
+        params, *gains = draw(substream(seed), 10_000)
+        view = verify._stack(params)
+        tracemalloc.start()
+        try:
+            oracle(view, *gains, verify.STEP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestPolicyNames:

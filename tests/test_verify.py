@@ -80,8 +80,9 @@ def test_snr_identity_battery_fails_on_a_nan_snr(monkeypatch):
     assert "max_rel_err=nan" in result.detail
 
 
-# The per-instance batteries as they were before they took whole arrays: the
-# reference the array batteries must reproduce exactly.
+# The per-instance batteries as they were before they took whole arrays, one
+# scalar oracle call per instance: the reference the array batteries must
+# reproduce exactly.
 def _scalar_params(rng):
     return SystemParams(
         p_s=dbm_to_linear(float(rng.uniform(20.0, 50.0))),
@@ -136,6 +137,12 @@ def _scalar_partial(count, seed):
     return rows, detail
 
 
+def _assert_view_holds(view, params):
+    """The record view has, field by field, the parameters of the scalar loop."""
+    for field in verify._VIEW_FIELDS:
+        assert view[field].tolist() == [getattr(p, field) for p in params]
+
+
 def _recording(monkeypatch, name, log):
     """Replace verify.<name> by a wrapper that appends (args, result) to log."""
     fn = getattr(verify, name)
@@ -156,11 +163,13 @@ def test_full_csi_battery_matches_the_scalar_loop(monkeypatch, seed):
     result = battery_full_csi(count=1000, seed=seed)
     assert result.detail == detail
     [((_, h_sq, g_sq), rho_cf)] = closed
-    assert [args[:3] for args, _ in oracle] == [row[:3] for row in rows]
-    assert h_sq.tolist() == [row[1] for row in rows]
-    assert g_sq.tolist() == [row[2] for row in rows]
+    [((view, h_grid, g_grid, step), rho_grid)] = oracle  # one call for all instances
+    _assert_view_holds(view, [row[0] for row in rows])
+    assert h_grid.tolist() == h_sq.tolist() == [row[1] for row in rows]
+    assert g_grid.tolist() == g_sq.tolist() == [row[2] for row in rows]
+    assert step == STEP
     assert rho_cf.tolist() == [row[3] for row in rows]
-    assert [rho for _, rho in oracle] == [row[4] for row in rows]
+    assert rho_grid.tolist() == [row[4] for row in rows]
 
 
 @pytest.mark.parametrize("seed", [2024, 2025, 4242])
@@ -172,10 +181,12 @@ def test_partial_csi_battery_matches_the_scalar_loop(monkeypatch, seed):
     result = battery_partial_csi(count=1000, seed=seed)
     assert result.detail == detail
     [((_, h_sq), rho_cf)] = closed
-    assert [args[:2] for args, _ in oracle] == [row[:2] for row in rows]
-    assert h_sq.tolist() == [row[1] for row in rows]
+    [((view, h_grid, step), rho_grid)] = oracle  # one call for all instances
+    _assert_view_holds(view, [row[0] for row in rows])
+    assert h_grid.tolist() == h_sq.tolist() == [row[1] for row in rows]
+    assert step == STEP
     assert rho_cf.tolist() == [row[2] for row in rows]
-    assert [rho for _, rho in oracle] == [row[3] for row in rows]
+    assert rho_grid.tolist() == [row[3] for row in rows]
 
 
 def test_random_instances_match_the_scalar_draws(random_instances):
