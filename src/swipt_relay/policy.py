@@ -43,7 +43,7 @@ __all__ = [
     "oracle_grid_partial",
 ]
 
-BLOCK_VALUES = 2 ** 17  # values a grid oracle's block temporaries hold: 1 MiB, in L2
+BLOCK_VALUES = 2 ** 17  # values a grid oracle's block buffers hold: 1 MiB, in L2
 
 
 @dataclass(frozen=True)
@@ -155,15 +155,18 @@ def _grid_rows(step: float) -> np.ndarray:
 
 
 def _by_block(pick, held, step, *columns):
-    """Each instance's rho, by pick(coef, rows, grid) on blocks of instances with
-    `held` (block, grid) temporaries; one broadcast column per coefficient."""
+    """Each instance's rho, by pick(coef, rows, grid, *buffers) on blocks of
+    instances; the `held` (block, grid) buffers are allocated once per call and
+    each block gets views of them. One broadcast column per coefficient."""
     columns = np.broadcast_arrays(*columns)
     coef = np.stack(columns, axis=-1).reshape(-1, len(columns))
     grid, rows = _rho_grid(step), _grid_rows(step)
-    size = max(1, BLOCK_VALUES // (held * grid.size))
+    size = max(1, min(len(coef), BLOCK_VALUES // (held * grid.size)))
+    buffers = np.empty((held, size, grid.size))
     rho = np.empty(len(coef))
     for i in range(0, len(coef), size):
-        rho[i:i + size] = pick(coef[i:i + size], rows, grid)
+        block = coef[i:i + size]
+        rho[i:i + size] = pick(block, rows, grid, *buffers[:, :len(block)])
     return float(rho[0]) if columns[0].ndim == 0 else rho.reshape(columns[0].shape)
 
 
@@ -173,8 +176,9 @@ def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4):
     snr()'s denominator terms over its numerator P_s h^2 g^2 rho(1-rho), less
     the rho-free g^2 sr^2. It shares no algebra with the closed form's c1."""
     sp, sd = params.sigma_p_sq, params.sigma_d_eff
-    return _by_block(lambda coef, rows, grid: grid[np.argmin(coef @ rows[:3], axis=1)], 1,
-                     step, g_sq * sp, sd, sd * sp / (params.p_s * h_sq + params.sigma_r_sq))
+    def pick(coef, rows, grid, objective):
+        return grid[np.argmin(np.matmul(coef, rows[:3], out=objective), axis=1)]
+    return _by_block(pick, 1, step, g_sq * sp, sd, sd * sp / (params.p_s * h_sq + params.sigma_r_sq))
 
 
 def oracle_grid_partial(params, h_sq, step: float = 1e-4):
@@ -183,9 +187,9 @@ def oracle_grid_partial(params, h_sq, step: float = 1e-4):
     from margin_terms. sigma_0^2 > 0, so W has the sign of F: W <= 0 at the
     argmax means no grid point has F(rho) > 0, outage is certain and the
     decision is harvest-only (rho = 1)."""
-    def pick(coef, rows, grid):
-        w = coef[:, :2] @ rows[3:5]
-        w /= coef[:, 2:] + rows[5]
+    def pick(coef, rows, grid, w, den):
+        np.matmul(coef[:, :2], rows[3:5], out=w)
+        w /= np.add(coef[:, 2:], rows[5], out=den)
         best = np.argmax(w, axis=1)
         return np.where(w[np.arange(len(w)), best] > 0.0, grid[best], 1.0)
     a, q = margin_terms(params, h_sq)

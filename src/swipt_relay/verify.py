@@ -9,14 +9,14 @@ acceptance tests run the same code at full instance counts.
 
 The two grid batteries and the SNR identity work on whole arrays: one draw,
 one closed-form call, one oracle call and one comparison per battery, over a
-record array of the instances' parameters. The oracles minimize snr()'s
-denominator over its numerator and maximize sd^2 W, ties to the smaller rho.
+record array of the instances' parameters built straight from the uniforms.
+The oracles minimize snr()'s denominator over its numerator and maximize
+sd^2 W, ties to the smaller rho.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -70,27 +70,20 @@ def _scale(u, low, high):
     return low + (high - low) * u
 
 
-def _params(u):
-    """One SystemParams per row of five standard uniforms (draw order above).
-    dBm goes through the scalar dbm_to_linear: np.power is not bit-identical."""
-    return [
-        SystemParams(
-            p_s=dbm_to_linear(p_s), sigma_r_sq=dbm_to_linear(sr),
-            sigma_p_sq=dbm_to_linear(sp), sigma_d_sq=dbm_to_linear(sd),
-            rate=DEFAULT_RATE, epsilon=eps,
-        )
-        for p_s, sr, sp, sd, eps in _scale(u, _PARAM_LO, _PARAM_HI).tolist()
-    ]
-
-
-def _stack(params):
-    """The instances' fields and the properties link reads, as one record
-    array: view.p_s holds every P_s, and so on, so link and policy functions
-    broadcast over it unchanged. gamma_0 and sigma_d_eff are read from the
-    instances, not recomputed."""
-    get = attrgetter(*_VIEW_FIELDS)
-    return np.array([get(p) for p in params],
-                    dtype=[(f, float) for f in _VIEW_FIELDS]).view(np.recarray)
+def _view(u):
+    """One record array of the instances drawn as rows of five standard uniforms
+    (draw order above): view.p_s holds every P_s, and so on, so link and policy
+    functions broadcast over it unchanged. dBm goes through the scalar
+    dbm_to_linear (np.power is not bit-identical), sigma_d_eff is the division
+    SystemParams does, and gamma_0 is read from SystemParams."""
+    scaled = _scale(u, _PARAM_LO, _PARAM_HI)
+    view = np.recarray(len(scaled), dtype=[(f, float) for f in _VIEW_FIELDS])
+    for field, dbm in zip(_VIEW_FIELDS[:4], scaled[:, :4].T.tolist()):
+        view[field] = list(map(dbm_to_linear, dbm))
+    view.epsilon = scaled[:, 4]
+    view.gamma_0 = SystemParams(1.0, 1.0, 1.0, 1.0, rate=DEFAULT_RATE).gamma_0
+    view.sigma_d_eff = view.sigma_d_sq / view.epsilon
+    return view
 
 
 def _worst(x):
@@ -99,19 +92,19 @@ def _worst(x):
 
 
 def _draw_full(rng, count):
-    """count (params list, |h|^2, |g|^2) draws; the gains log-uniform in [0.01, 10]."""
+    """count (view, |h|^2, |g|^2) draws; the gains log-uniform in [0.01, 10]."""
     u = rng.random((count, 7))
     h_sq, g_sq = np.exp(_scale(u[:, 5:], *_LOG_GAIN)).T
-    return _params(u[:, :5]), h_sq, g_sq
+    return _view(u[:, :5]), h_sq, g_sq
 
 
 def _draw_partial(rng, count):
-    """count (params list, |h|^2) draws, |h|^2 log-uniform on [H0/10, 10] for
-    each instance's own threshold H0."""
+    """count (view, |h|^2) draws, |h|^2 log-uniform on [H0/10, 10] for each
+    instance's own threshold H0."""
     u = rng.random((count, 6))
-    params = _params(u[:, :5])
-    low = np.log(h_threshold(_stack(params)) / 10.0)
-    return params, np.exp(_scale(u[:, 5], low, _LOG_GAIN[1]))
+    view = _view(u[:, :5])
+    low = np.log(h_threshold(view) / 10.0)
+    return view, np.exp(_scale(u[:, 5], low, _LOG_GAIN[1]))
 
 
 def battery_full_csi(count=10_000, seed=2024) -> BatteryResult:
@@ -121,8 +114,7 @@ def battery_full_csi(count=10_000, seed=2024) -> BatteryResult:
     never below the grid's best by more than 1e-9 relative. The closed form,
     the oracle and both SNRs take one array call each.
     """
-    params, h_sq, g_sq = _draw_full(substream(seed), count)
-    view = _stack(params)
+    view, h_sq, g_sq = _draw_full(substream(seed), count)
     rho_cf = full_csi_rho(view, h_sq, g_sq)
     rho_grid = oracle_grid_full(view, h_sq, g_sq, STEP)
     snr_cf = snr(view, h_sq, g_sq, rho_cf)
@@ -142,8 +134,7 @@ def battery_partial_csi(count=10_000, seed=2025) -> BatteryResult:
     |h|^2 is log-uniform on [H0/10, 10], so about one draw in six lies at or
     below the instance's threshold H0 and must be harvest-only. Where no grid
     point is feasible, a feasible closed-form rho passes too."""
-    params, h_sq = _draw_partial(substream(seed), count)
-    view = _stack(params)
+    view, h_sq = _draw_partial(substream(seed), count)
     rho_cf = partial_csi_rho(view, h_sq)
     rho_grid = oracle_grid_partial(view, h_sq, STEP)
     # rho_grid == 1: harvest-only, or a feasible interval narrower than STEP
@@ -170,7 +161,7 @@ def battery_snr_identity(count=100_000, seed=2026) -> BatteryResult:
     one random operating point per SNR_DRAWS_PER_POINT instances."""
     rng = substream(seed)
     points = -(-count // SNR_DRAWS_PER_POINT)
-    view = _stack(_params(rng.random((points, 5))))[:, None]  # one row per point
+    view = _view(rng.random((points, 5)))[:, None]  # one row per point
     u = rng.random((3, points, SNR_DRAWS_PER_POINT))
     h_sq, g_sq = np.exp(_scale(u[:2], *_LOG_GAIN))
     rho = _scale(u[2], 1e-6, 1.0 - 1e-6)

@@ -27,8 +27,11 @@ def random_instances():
     """random_instances(rng, count): random (params, h_sq, g_sq) instances from
     the full-CSI battery's own draw, covering a wide operating range: P_s
     uniform in [20, 50] dBm, noises in [-30, -10] dBm, epsilon in [0.2, 1),
-    channel gains log-uniform in [0.01, 10]."""
+    channel gains log-uniform in [0.01, 10]. Each row of the draw's record view
+    becomes a validated SystemParams."""
     def draw(rng, count):
-        params, h_sq, g_sq = verify._draw_full(rng, count)
+        view, h_sq, g_sq = verify._draw_full(rng, count)
+        params = [SystemParams(*row[:4], rate=verify.DEFAULT_RATE, epsilon=row[4])
+                  for row in view.tolist()]
         return list(zip(params, h_sq.tolist(), g_sq.tolist()))
     return draw

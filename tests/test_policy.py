@@ -56,16 +56,16 @@ def literal_oracle_partial(params, h_sq, step):
 def assert_oracles_match_the_literal_argmax(seed, count, step=verify.STEP):
     """Both oracles, one array call each on the battery's draws, give the
     literal argmax on every instance; returns the share of harvest-only draws."""
-    params, h_sq, g_sq = verify._draw_full(substream(seed), count)
-    rho = oracle_grid_full(verify._stack(params), h_sq, g_sq, step)
+    view, h_sq, g_sq = verify._draw_full(substream(seed), count)
+    rho = oracle_grid_full(view, h_sq, g_sq, step)
     assert rho.shape == h_sq.shape
     assert rho.tolist() == [literal_oracle_full(p, h, g, step) for p, h, g
-                            in zip(params, h_sq.tolist(), g_sq.tolist())]
-    params, h_sq = verify._draw_partial(substream(seed), count)
-    rho = oracle_grid_partial(verify._stack(params), h_sq, step)
+                            in zip(view, h_sq.tolist(), g_sq.tolist())]
+    view, h_sq = verify._draw_partial(substream(seed), count)
+    rho = oracle_grid_partial(view, h_sq, step)
     assert rho.shape == h_sq.shape
     assert rho.tolist() == [literal_oracle_partial(p, h, step)
-                            for p, h in zip(params, h_sq.tolist())]
+                            for p, h in zip(view, h_sq.tolist())]
     return float(np.mean(rho == 1.0))
 
 
@@ -280,8 +280,8 @@ class TestOracles:
     def test_partial_oracle_equals_its_masked_form(self, ref_params):
         # the verify battery's draws: |h|^2 log-uniform on [H0/10, 10], about a
         # sixth of them at or below H0
-        params, h_sq = verify._draw_partial(substream(26), 2000)
-        cases = list(zip(params, h_sq.tolist()))
+        view, h_sq = verify._draw_partial(substream(26), 2000)
+        cases = list(zip(view, h_sq.tolist()))
         assert sum(h <= h_threshold(p) for p, h in cases) > 200
         # at and above H0 at the reference point: F > 0 on (0, rho_max) with
         # rho_max about 2*delta, so the first two deltas leave an interval
@@ -314,7 +314,7 @@ class TestOraclesEqualTheLiteralArgmax:
 
     def test_at_block_edges(self):
         # instances per block: the full-CSI oracle holds one (block, grid)
-        # temporary, the partial-CSI one two
+        # buffer, the partial-CSI one two
         size = policy._rho_grid(verify.STEP).size
         rows = {policy.BLOCK_VALUES // (held * size) for held in (1, 2)}
         assert min(rows) > 1
@@ -344,8 +344,7 @@ class TestOraclesEqualTheLiteralArgmax:
         (oracle_grid_partial, verify._draw_partial, 2025)])
     def test_a_full_count_call_stays_small(self, oracle, draw, seed):
         # one (10^4, 9,999) matrix of objective values would take about 800 MB
-        params, *gains = draw(substream(seed), 10_000)
-        view = verify._stack(params)
+        view, *gains = draw(substream(seed), 10_000)
         tracemalloc.start()
         try:
             oracle(view, *gains, verify.STEP)

@@ -249,25 +249,43 @@ class TestOutageScreen:
         h, g = _boundary_draws(params, policies, seed, size)
         assert _mc_batch_on(params, policies, h, g) == _reference_stats(params, policies, h, g)
 
-    def test_the_slack_keeps_the_outages_where_the_bound_is_tight(self, monkeypatch):
-        """Both bounds of the screen are nearly tight at gamma_0 -> 0, rho = 1/2,
-        a = A* (1 + delta) with A* = 4 k_p and a huge q: the screen's bound on
-        |g|^2 is then about 1 + delta times the outage boundary. With delta
-        below 1e-8 and |g|^2 within 4 ulps of the boundary, a slack of -1e-9
-        drops the outages with delta below about 1e-9; the shipped slack keeps them."""
-        params = SystemParams(p_s=dbm_to_linear(0.0), sigma_r_sq=dbm_to_linear(-100.0),
+    @staticmethod
+    def _tight_draws(sigma_r_dbm, delta):
+        """Draws where both bounds of the screen are nearly tight: gamma_0 -> 0,
+        rho = 1/2, a = A* (1 + U(0, delta)) with A* = 4 k_p and a huge q, so the
+        screen's bound on |g|^2 is about 1 + delta times the outage boundary,
+        and |g|^2 within 4 ulps of that boundary. The bound's sigma_0^2 factor
+        (1/2 + q)/(1 + q) leaves a room that shrinks with sigma_r^2."""
+        params = SystemParams(p_s=dbm_to_linear(0.0), sigma_r_sq=dbm_to_linear(sigma_r_dbm),
                               sigma_p_sq=dbm_to_linear(-5.0),
                               sigma_d_sq=dbm_to_linear(-20.0), rate=1e-15)
-        policies, size = (Fixed(0.5),), sim.CHUNK + 999
+        size = sim.CHUNK + 999
         rng = np.random.default_rng(16)
-        a = 4.0 * params.gamma_0 * params.sigma_p_sq * (1.0 + rng.uniform(0.0, 1e-8, size))
+        a = 4.0 * params.gamma_0 * params.sigma_p_sq * (1.0 + rng.uniform(0.0, delta, size))
         h = (a + params.gamma_0 * params.sigma_r_sq) / params.p_s
         g = params.gamma_0 * sigma0_sq(params, h, 0.5) / f_of_rho(params, h, 0.5)
         g += rng.integers(-4, 5, size) * np.spacing(g)
+        return params, h, g
+
+    def _assert_slack_drops_outages(self, monkeypatch, sigma_r_dbm, delta, slack):
+        """The shipped slack keeps every outage of the draws; `slack` drops some."""
+        params, h, g = self._tight_draws(sigma_r_dbm, delta)
+        policies = (Fixed(0.5),)
         (expected, _, _), = _reference_stats(params, policies, h, g)
         assert _mc_batch_on(params, policies, h, g)[0][0] == expected
-        monkeypatch.setattr(sim, "SCREEN_SLACK", -1e-9)
+        monkeypatch.setattr(sim, "SCREEN_SLACK", slack)
         assert _mc_batch_on(params, policies, h, g)[0][0] < expected
+
+    def test_the_slack_keeps_the_outages_where_the_bound_is_tight(self, monkeypatch):
+        """At sigma_r^2 = -100 dBm and delta below 1e-8, a slack of -1e-9 drops
+        the outages with delta below about 1e-9; the shipped slack keeps them."""
+        self._assert_slack_drops_outages(monkeypatch, -100.0, 1e-8, -1e-9)
+
+    def test_a_slack_below_zero_drops_outages_where_the_bound_is_tighter(self, monkeypatch):
+        """At sigma_r^2 = -130 dBm the room is far below 1e-12, so with delta
+        below 1e-12 a slack of -1e-12 drops outages (564 of 3,769 kept) that the
+        shipped slack keeps: the slack cannot be negative by even 1e-12."""
+        self._assert_slack_drops_outages(monkeypatch, -130.0, 1e-12, -1e-12)
 
 
 def _mc_batch_on(params, policies, h, g):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from operator import attrgetter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,7 +49,8 @@ def test_partial_csi_battery_accepts_a_feasible_interval_narrower_than_the_grid(
     assert 0.0 < rho_cf < 5e-5 and f_of_rho(params, h_sq, rho_cf) > 0.0
 
     # the battery's draw step hands over this one instance
-    monkeypatch.setattr(verify, "_draw_partial", lambda rng, count: ([params], np.array([h_sq])))
+    monkeypatch.setattr(verify, "_draw_partial",
+                        lambda rng, count: (_stack([params]), np.array([h_sq])))
     result = battery_partial_csi(count=1)
     assert result.passed, result.detail
     assert "bad_infeasible=0" in result.detail
@@ -137,6 +144,14 @@ def _scalar_partial(count, seed):
     return rows, detail
 
 
+def _stack(params):
+    """The record view of SystemParams instances, as verify's draws give it:
+    every field of verify._VIEW_FIELDS, read from the instances."""
+    get = attrgetter(*verify._VIEW_FIELDS)
+    return np.array([get(p) for p in params],
+                    dtype=[(f, float) for f in verify._VIEW_FIELDS]).view(np.recarray)
+
+
 def _assert_view_holds(view, params):
     """The record view has, field by field, the parameters of the scalar loop."""
     for field in verify._VIEW_FIELDS:
@@ -197,3 +212,62 @@ def test_random_instances_match_the_scalar_draws(random_instances):
                 for _ in range(300)]
     assert random_instances(rng, 300) == expected
     assert rng.random() == ref.random()  # the stream is left where it was
+
+
+def _scalar_rows(seed, count, gains):
+    """The first count _scalar_params of a battery's stream, skipping the
+    `gains` uniforms that follow each instance's own five."""
+    rng = substream(seed)
+    rows = []
+    for _ in range(count):
+        rows.append(_scalar_params(rng))
+        rng.random(gains)
+    return rows
+
+
+def _assert_view_is_the_scalar_params(view, expected):
+    _assert_view_holds(view, expected)
+    # each row is a valid SystemParams, equal to the scalar draw's bit for bit
+    assert [SystemParams(*row[:4], rate=DEFAULT_RATE, epsilon=row[4])
+            for row in view.tolist()] == expected
+
+
+@pytest.mark.parametrize("draw,seed,gains", [
+    (verify._draw_full, 2024, 2), (verify._draw_partial, 2025, 1)])
+def test_the_grid_batteries_draw_the_scalar_params_at_full_count(draw, seed, gains):
+    view = draw(substream(seed), 10_000)[0]
+    _assert_view_is_the_scalar_params(view, _scalar_rows(seed, 10_000, gains))
+
+
+def test_the_snr_identity_points_are_the_scalar_params(monkeypatch):
+    calls = []
+    _recording(monkeypatch, "snr", calls)
+    assert battery_snr_identity().passed
+    [((view, *_), _)] = calls
+    assert view.shape == (1000, 1)  # one row per operating point
+    _assert_view_is_the_scalar_params(view.ravel(), _scalar_rows(2026, 1000, 0))
+
+
+# A fresh interpreter: the heap has not yet grown, so (block, grid) arrays made
+# and freed per block would each be mapped and unmapped again (about 338,000
+# minor faults for the partial battery, against about 1,900 with buffers
+# allocated once per oracle call).
+FRESH_PARTIAL = """
+import resource
+from swipt_relay.verify import battery_partial_csi
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+passed = battery_partial_csi().passed
+print(passed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_a_fresh_partial_battery_does_not_refault_its_blocks():
+    pytest.importorskip("resource")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_PARTIAL], env=env,
+                          capture_output=True, text=True, timeout=120)
+    passed, faults = proc.stdout.split()
+    assert passed == "True"
+    assert int(faults) < 50_000
