@@ -66,31 +66,26 @@ class PartialCSI:
 
 
 Policy = Union[Fixed, FullCSI, PartialCSI]
+_NAMED = {"full_csi": FullCSI(), "partial_csi": PartialCSI()}  # every policy without a parameter
 
 
 def parse_policy(name: str) -> Policy:
     """Parse a policy spec string: 'full_csi', 'partial_csi', or 'fixed:<rho0>'."""
-    if name == "full_csi":
-        return FullCSI()
-    if name == "partial_csi":
-        return PartialCSI()
+    if name in _NAMED:
+        return _NAMED[name]
     if name.startswith("fixed:"):
         try:
             rho0 = float(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad fixed policy spec: {name!r}") from None
         return Fixed(rho0)
-    raise ValueError(
-        f"unknown policy {name!r}; valid: full_csi, partial_csi, fixed:<rho0>"
-    )
+    raise ValueError(f"unknown policy {name!r}; valid: {', '.join(_NAMED)}, fixed:<rho0>")
 
 
 def policy_name(policy: Policy) -> str:
-    if isinstance(policy, FullCSI):
-        return "full_csi"
-    if isinstance(policy, PartialCSI):
-        return "partial_csi"
-    return f"fixed:{float(policy.rho0)!r}"  # round-trips through parse_policy
+    if isinstance(policy, Fixed):
+        return f"fixed:{float(policy.rho0)!r}"  # round-trips through parse_policy
+    return {named: name for name, named in _NAMED.items()}[policy]
 
 
 def full_csi_rho(params, h_sq, g_sq, *, terms=None):
@@ -134,20 +129,13 @@ def decide_rho(policy: Policy, params, h_sq, g_sq, *, terms=None):
 
 
 @lru_cache(maxsize=4)
-def _rho_grid(step: float) -> np.ndarray:
-    """The oracles' rho grid, built once per step; read-only, as it is shared."""
+def _grid_rows(step: float) -> np.ndarray:
+    """The oracles' read-only grid table, built once per step: 1/(1-rho), 1/rho,
+    1/(rho(1-rho)) for the full-CSI objective, rho(1-rho), rho, 1-rho for the
+    partial-CSI one. Row 4 is the rho grid itself, which the picks index."""
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"grid step must be in (0, 1e-3], got {step!r}")
-    grid = np.linspace(step, 1.0 - step, round(1.0 / step) - 1)
-    grid.flags.writeable = False
-    return grid
-
-
-@lru_cache(maxsize=4)
-def _grid_rows(step: float) -> np.ndarray:
-    """The oracles' read-only grid rows: 1/(1-rho), 1/rho, 1/(rho(1-rho)) for
-    the full-CSI objective, rho(1-rho), rho, 1-rho for the partial-CSI one."""
-    rho = _rho_grid(step)
+    rho = np.linspace(step, 1.0 - step, round(1.0 / step) - 1)
     info = 1.0 - rho
     rows = np.array([1.0 / info, 1.0 / rho, 1.0 / (rho * info), rho * info, rho, info])
     rows.flags.writeable = False
@@ -155,18 +143,18 @@ def _grid_rows(step: float) -> np.ndarray:
 
 
 def _by_block(pick, held, step, *columns):
-    """Each instance's rho, by pick(coef, rows, grid, *buffers) on blocks of
-    instances; the `held` (block, grid) buffers are allocated once per call and
-    each block gets views of them. One broadcast column per coefficient."""
+    """Each instance's rho, by pick(coef, rows, *buffers) on blocks of instances,
+    rows being the grid table; the `held` (block, grid) buffers are allocated
+    once per call and each block gets views of them. One column per coefficient."""
     columns = np.broadcast_arrays(*columns)
     coef = np.stack(columns, axis=-1).reshape(-1, len(columns))
-    grid, rows = _rho_grid(step), _grid_rows(step)
-    size = max(1, min(len(coef), BLOCK_VALUES // (held * grid.size)))
-    buffers = np.empty((held, size, grid.size))
+    rows = _grid_rows(step)
+    size = max(1, min(len(coef), BLOCK_VALUES // (held * rows.shape[1])))
+    buffers = np.empty((held, size, rows.shape[1]))
     rho = np.empty(len(coef))
     for i in range(0, len(coef), size):
         block = coef[i:i + size]
-        rho[i:i + size] = pick(block, rows, grid, *buffers[:, :len(block)])
+        rho[i:i + size] = pick(block, rows, *buffers[:, :len(block)])
     return float(rho[0]) if columns[0].ndim == 0 else rho.reshape(columns[0].shape)
 
 
@@ -176,8 +164,8 @@ def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4):
     snr()'s denominator terms over its numerator P_s h^2 g^2 rho(1-rho), less
     the rho-free g^2 sr^2. It shares no algebra with the closed form's c1."""
     sp, sd = params.sigma_p_sq, params.sigma_d_eff
-    def pick(coef, rows, grid, objective):
-        return grid[np.argmin(np.matmul(coef, rows[:3], out=objective), axis=1)]
+    def pick(coef, rows, objective):
+        return rows[4][np.argmin(np.matmul(coef, rows[:3], out=objective), axis=1)]
     return _by_block(pick, 1, step, g_sq * sp, sd, sd * sp / (params.p_s * h_sq + params.sigma_r_sq))
 
 
@@ -187,10 +175,10 @@ def oracle_grid_partial(params, h_sq, step: float = 1e-4):
     from margin_terms. sigma_0^2 > 0, so W has the sign of F: W <= 0 at the
     argmax means no grid point has F(rho) > 0, outage is certain and the
     decision is harvest-only (rho = 1)."""
-    def pick(coef, rows, grid, w, den):
+    def pick(coef, rows, w, den):
         np.matmul(coef[:, :2], rows[3:5], out=w)
         w /= np.add(coef[:, 2:], rows[5], out=den)
         best = np.argmax(w, axis=1)
-        return np.where(w[np.arange(len(w)), best] > 0.0, grid[best], 1.0)
+        return np.where(w[np.arange(len(w)), best] > 0.0, rows[4][best], 1.0)
     a, q = margin_terms(params, h_sq)
     return _by_block(pick, 2, step, a, -params.gamma_0 * params.sigma_p_sq, q)

@@ -1,8 +1,27 @@
+from pathlib import Path
+
 import pytest
 
 from swipt_relay import verify
 from swipt_relay.channel import FadingParams
 from swipt_relay.params import SystemParams, dbm_to_linear
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "swipt_relay"
+
+
+def size_line():
+    """The size of the package, the design metric each change reports."""
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    return f"src/swipt_relay/*.py: {lines} lines (wc -l)"
+
+
+def pytest_report_header(config):
+    return size_line()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q hides the report header
+        terminalreporter.write_line(size_line())
 
 
 @pytest.fixture

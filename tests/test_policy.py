@@ -40,14 +40,14 @@ PART_RHO_REF = 0.9976912602008429
 
 def literal_oracle_full(params, h_sq, g_sq, step):
     """The full-CSI grid oracle as the literal argmax of snr() over the grid."""
-    grid = policy._rho_grid(step)
+    grid = policy._grid_rows(step)[4]
     return float(grid[int(np.argmax(snr(params, h_sq, g_sq, grid)))])
 
 
 def literal_oracle_partial(params, h_sq, step):
     """The partial-CSI grid oracle as the literal argmax of w_ratio over the grid,
     harvest-only (rho = 1) when W <= 0 there."""
-    grid = policy._rho_grid(step)
+    grid = policy._grid_rows(step)[4]
     w = w_ratio(params, h_sq, grid)
     best = int(np.argmax(w))
     return float(grid[best]) if w[best] > 0.0 else 1.0
@@ -72,7 +72,7 @@ def assert_oracles_match_the_literal_argmax(seed, count, step=verify.STEP):
 def masked_oracle_partial(params, h_sq, step):
     """The partial-CSI grid oracle in its masked form: argmax of W over the grid
     points where F(rho) > 0, harvest-only (rho = 1) when there are none."""
-    grid = policy._rho_grid(step)
+    grid = policy._grid_rows(step)[4]
     f = f_of_rho(params, h_sq, grid)
     feasible = f > 0.0
     if not np.any(feasible):
@@ -246,13 +246,17 @@ class TestDecideRho:
 
 class TestOracles:
     def test_grid_step_precondition(self, ref_params):
+        cached = policy._grid_rows.cache_info().currsize
         for _ in range(2):  # a rejected step is not cached
             with pytest.raises(ValueError):
                 oracle_grid_full(ref_params, 1.5, 1.5, step=1e-2)
+        assert policy._grid_rows.cache_info().currsize == cached
 
     def test_grid_is_built_once_per_step_and_read_only(self):
-        grid = policy._rho_grid(1e-4)
-        assert policy._rho_grid(1e-4) is grid
+        rows = policy._grid_rows(1e-4)
+        assert policy._grid_rows(1e-4) is rows
+        assert not rows.flags.writeable
+        grid = rows[4]
         assert not grid.flags.writeable
         assert grid.size == 9999 and grid[0] == 1e-4 and grid[-1] == 1.0 - 1e-4
 
@@ -315,7 +319,7 @@ class TestOraclesEqualTheLiteralArgmax:
     def test_at_block_edges(self):
         # instances per block: the full-CSI oracle holds one (block, grid)
         # buffer, the partial-CSI one two
-        size = policy._rho_grid(verify.STEP).size
+        size = policy._grid_rows(verify.STEP)[4].size
         rows = {policy.BLOCK_VALUES // (held * size) for held in (1, 2)}
         assert min(rows) > 1
         counts = {1} | {n + d for n in rows for d in (-1, 0, 1)}
@@ -375,3 +379,8 @@ class TestPolicyNames:
     def test_parse_rejects_unknown(self, bad):
         with pytest.raises(ValueError):
             parse_policy(bad)
+
+    def test_unknown_name_lists_the_valid_ones(self):
+        with pytest.raises(ValueError, match=r"^unknown policy 'grid'; "
+                                             r"valid: full_csi, partial_csi, fixed:<rho0>$"):
+            parse_policy("grid")
