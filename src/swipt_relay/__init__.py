@@ -28,6 +28,7 @@ from .sim import (
     gain_eta,
     gains_from_sweep,
     horizontal_gain_db,
+    outage_exact,
     outage_mc,
     outage_point,
     outage_semi_analytic,

@@ -117,13 +117,11 @@ def sigma0_sq(params, h_sq, rho, *, terms=None):
     return params.sigma_d_eff * (1.0 - np.asarray(rho, dtype=float) + q)
 
 
-def h_threshold(params):
-    """Channel-gain threshold H0 = gamma_0*(sr^2 + sp^2)/P_s.
-
-    For |h|^2 <= H0 the feasible set is empty and outage is certain for every
-    rho, so the only sensible action is to harvest everything.
-    """
-    return params.gamma_0 * (params.sigma_r_sq + params.sigma_p_sq) / params.p_s
+def h_threshold(params, rho=0.0):
+    """Channel-gain threshold gamma_0*(sr^2 + sp^2/(1 - rho))/P_s, above which
+    exactly F(rho) > 0. At rho = 0 it is the lowest, H0: for |h|^2 <= H0 no rho is
+    feasible and outage is certain, so the only sensible action is to harvest."""
+    return params.gamma_0 * (params.sigma_r_sq + params.sigma_p_sq / (1.0 - rho)) / params.p_s
 
 
 def w_ratio(params, h_sq, rho):
@@ -144,6 +142,7 @@ def conditional_outage(params, h_sq, rho, lambda_g, *, terms=None):
     s0 = sigma0_sq(params, h_sq, rho, terms=terms)
     feasible = f > 0.0
     safe_f = np.where(feasible, f, 1.0)
-    p = -np.expm1(-params.gamma_0 * s0 / (safe_f * lambda_g))
+    with np.errstate(over="ignore", divide="ignore"):  # subnormal F: p is exactly 1
+        p = -np.expm1(-params.gamma_0 * s0 / (safe_f * lambda_g))
     out = np.where(feasible, p, 1.0)
     return float(out) if np.ndim(out) == 0 else out

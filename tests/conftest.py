@@ -1,3 +1,5 @@
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,8 @@ from swipt_relay import verify
 from swipt_relay.channel import FadingParams
 from swipt_relay.params import SystemParams, dbm_to_linear
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "swipt_relay"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "swipt_relay"
 
 
 def size_line():
@@ -54,3 +57,21 @@ def random_instances():
                   for row in view.tolist()]
         return list(zip(params, h_sq.tolist(), g_sq.tolist()))
     return draw
+
+
+@pytest.fixture(scope="session")
+def checked_outage():
+    """checked_outage(params, fading, name): the outage of policy `name` from
+    perfbench/exact.py, the benchmark's own quadrature, which shares no code
+    with the package; imported read-only."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        exact = importlib.import_module("exact")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+    def outage(p, fading, name):
+        link = exact.Link(p.p_s, p.sigma_r_sq, p.sigma_p_sq, p.sigma_d_eff, p.gamma_0,
+                          fading.lambda_h, fading.lambda_g)
+        return exact.outage(link, name)[0]
+    return outage

@@ -6,11 +6,13 @@ and the two fading-mean sweeps) are computed once per session and reused by
 the dominance criterion.
 
 Criterion 6's sign and order claims on the fixed-ratio gains are checked on
-exact outage (``exact_outage``: ``scipy.integrate.quad`` over |h|^2), because
-their margins (|eta_0.8| = 0.0019 at lambda_g = 9) are about 100 times smaller
-than the MC standard error at n = 1e6; the MC sweep must agree with the exact
-values within 3 sigma. Criterion 5 prints the exact gains beside its MC ones.
-Everything else is judged on seeded MC alone.
+exact outage (``sim.outage_exact``: the semi-analytic integrand on fixed
+Gauss-Legendre nodes over |h|^2), because their margins (|eta_0.8| = 0.0019 at
+lambda_g = 9) are about 100 times smaller than the MC standard error at
+n = 1e6; the MC sweep must agree with the exact values within 3 sigma, and the
+exact values with the benchmark's own checker, ``perfbench/exact.py``, which
+shares no code with the package. Criterion 5 prints the exact gains beside its
+MC ones. Everything else is judged on seeded MC alone.
 """
 import dataclasses
 import json
@@ -22,23 +24,16 @@ import time
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.integrate import quad
 
 from swipt_relay.channel import FadingParams, sample_gains, substream
-from swipt_relay.link import conditional_outage, h_threshold
 from swipt_relay.params import SystemParams, dbm_to_linear
-from swipt_relay.policy import (
-    Fixed,
-    FullCSI,
-    PartialCSI,
-    partial_csi_rho,
-    policy_name,
-)
+from swipt_relay.policy import Fixed, FullCSI, PartialCSI, policy_name
 from swipt_relay.sim import (
     SweepSpec,
     gain_eta,
     gains_from_sweep,
     horizontal_gain_db,
+    outage_exact,
     outage_mc,
     outage_point,
     outage_semi_analytic,
@@ -71,42 +66,6 @@ def check(name, ok, detail=""):
 
 def combined_se(a, b):
     return math.hypot(a.std_err, b.std_err)
-
-
-def exact_outage(params, fading, rho0=None):
-    """Exact outage of fixed ratio rho0, or of partial CSI when rho0 is None,
-    with quad's summed absolute error estimate: returns (p_out, abserr).
-
-    Outage is certain below h_c, the |h|^2 at which F(rho) > 0 stops having a
-    solution: H0 (``h_threshold``) for partial CSI, and the root
-    gamma_0*(sr^2 + sp^2/(1 - rho0))/P_s of ``f_of_rho`` for a fixed rho0.
-    Above it, ``conditional_outage`` is integrated against the exponential
-    |h|^2 density on panels spaced geometrically from h_c, where the
-    integrand varies fastest, out to 40 mean gains. Full CSI has the
-    partial-CSI value: both fail exactly when |g|^2 * max_rho W(rho) < gamma_0.
-    """
-    gamma_0, lam = params.gamma_0, fading.lambda_h
-    if rho0 is None:
-        h_c = h_threshold(params)
-    else:
-        h_c = gamma_0 * (params.sigma_r_sq + params.sigma_p_sq / (1.0 - rho0)) / params.p_s
-
-    def integrand(h):
-        rho = partial_csi_rho(params, h) if rho0 is None else rho0
-        p = conditional_outage(params, h, rho, fading.lambda_g)
-        return p * math.exp(-h / lam) / lam
-
-    edges, x = [h_c], 1e-3 * h_c
-    while x < 40.0 * lam:
-        edges.append(h_c + x)
-        x *= 10.0
-    edges.append(h_c + 40.0 * lam)
-    p_out, abserr = -math.expm1(-h_c / lam), 0.0
-    for a, b in zip(edges, edges[1:]):
-        val, err = quad(integrand, a, b, epsabs=0.0, epsrel=1e-10, limit=200)
-        p_out += val
-        abserr += err
-    return p_out, abserr
 
 
 @pytest.fixture(scope="module")
@@ -200,14 +159,14 @@ def test_criterion_5_power_sweep_gains(fig2_curves):
     p_full_50 = dict(dyn)[50.0]
     p_par_50 = dict(par)[50.0]
     elapsed = time.time() - t0
-    # exact curves on the same grid; full CSI has the partial-CSI outage
-    exact = {rho0: [] for rho0 in (None, 0.8, 0.6, 0.4)}
+    # exact curves on the same grid
+    exact = {pol: [] for pol in (FullCSI(), Fixed(0.8), Fixed(0.6), Fixed(0.4))}
     for v in PS_GRID_DBM:
         params = dataclasses.replace(REF_PARAMS, p_s=dbm_to_linear(float(v)))
-        for rho0, curve in exact.items():
-            curve.append((float(v), exact_outage(params, REF_FADING, rho0)[0]))
+        for pol, curve in exact.items():
+            curve.append((float(v), outage_exact(params, REF_FADING, pol)))
     exact_gains = "/".join(
-        f"{horizontal_gain_db(exact[None], exact[rho0], 50.0):.3f}"
+        f"{horizontal_gain_db(exact[FullCSI()], exact[Fixed(rho0)], 50.0):.3f}"
         for rho0 in (0.8, 0.6, 0.4)
     )
     ok = (
@@ -241,7 +200,7 @@ def _adjacent_trend_ok(pairs, direction):
     return True
 
 
-def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep):
+def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep, checked_outage):
     gains = gains_from_sweep(lambda_g_sweep)
     full_ok = _adjacent_trend_ok([g.eta["full_csi"] for g in gains], -1)
     par_ok = _adjacent_trend_ok([g.eta["partial_csi"] for g in gains], -1)
@@ -252,15 +211,21 @@ def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep):
     for g in gains:
         fading = dataclasses.replace(REF_FADING, lambda_g=g.sweep_value)
         exact[g.sweep_value] = {
-            rho0: exact_outage(REF_PARAMS, fading, rho0) for rho0 in (0.4, 0.6, 0.8)
+            rho0: outage_exact(REF_PARAMS, fading, Fixed(rho0)) for rho0 in (0.4, 0.6, 0.8)
         }
-    eta_06 = {v: gain_eta(e[0.6][0], e[0.4][0]) for v, e in exact.items()}
-    eta_08 = {v: gain_eta(e[0.8][0], e[0.4][0]) for v, e in exact.items()}
+    eta_06 = {v: gain_eta(e[0.6], e[0.4]) for v, e in exact.items()}
+    eta_08 = {v: gain_eta(e[0.8], e[0.4]) for v, e in exact.items()}
     order_ok = all(eta_06[v] > eta_08[v] for v in exact if v >= 4)
     sign_ok = all(eta_08[v] < 0 for v in exact if v >= 9)
+    # each exact value against the benchmark's checker, written apart from the
+    # package, to far below the smallest margin the claims rest on
     err_limit = 1e-3 * abs(eta_08[9.0])
-    quad_err = max(err / p for e in exact.values() for p, err in e.values())
-    quad_ok = quad_err < err_limit
+    engine_gap = max(
+        abs(p_out / checked_outage(REF_PARAMS, dataclasses.replace(REF_FADING, lambda_g=v),
+                                   f"fixed:{rho0}") - 1.0)
+        for v, e in exact.items() for rho0, p_out in e.items()
+    )
+    engine_ok = engine_gap < err_limit
     z_max = max(
         abs(g.eta[name][0] - eta_exact[g.sweep_value]) / g.eta[name][1]
         for name, eta_exact in (("fixed:0.6", eta_06), ("fixed:0.8", eta_08))
@@ -270,11 +235,11 @@ def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep):
     eta08_tail = {v: round(e, 4) for v, e in eta_08.items() if v >= 8}
     check(
         "criterion 6: gain trends vs lambda_g (n=1e6/point)",
-        full_ok and par_ok and order_ok and sign_ok and quad_ok and mc_ok,
+        full_ok and par_ok and order_ok and sign_ok and engine_ok and mc_ok,
         f"eta_full non-increasing(2sigma)={full_ok}, eta_par={par_ok}, "
         f"exact eta06>eta08 for lg>=4: {order_ok}, exact eta08<0 for lg>=9: {sign_ok} "
         f"(exact eta08 tail={eta08_tail}), "
-        f"max quad rel err={quad_err:.1e} (<{err_limit:.1e}), "
+        f"max exact rel gap to perfbench/exact.py={engine_gap:.1e} (<{err_limit:.1e}), "
         f"max |MC-exact|/se for eta06, eta08={z_max:.2f} (<=3)",
     )
 

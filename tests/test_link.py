@@ -1,16 +1,15 @@
 import dataclasses
-import importlib
 import itertools
 import math
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import k1
 
-from swipt_relay import policy
-from swipt_relay.channel import sample_gains, substream
+from swipt_relay import policy, verify
+from swipt_relay.channel import FadingParams, sample_gains, substream
 from swipt_relay.link import (
     conditional_outage,
     f_of_rho,
@@ -23,8 +22,8 @@ from swipt_relay.link import (
     w_ratio,
 )
 from swipt_relay.params import SystemParams, dbm_to_linear
+from swipt_relay.sim import outage_exact
 
-ROOT = Path(__file__).resolve().parent.parent
 GAMMA_0 = 7.0
 EPS = np.finfo(float).eps
 
@@ -201,6 +200,29 @@ class TestHThreshold:
             h_threshold(ref_params) / 2, rel=1e-12
         )
 
+    @pytest.mark.parametrize("rho0", [0.4, 0.6, 0.8])
+    def test_is_the_root_of_f_at_a_fixed_rho(self, ref_params, rho0):
+        for p_s_dbm in np.arange(20.0, 55.5, 0.5):
+            p = dataclasses.replace(ref_params, p_s=dbm_to_linear(float(p_s_dbm)))
+            h_c = h_threshold(p, rho0)
+            assert f_of_rho(p, h_c, rho0) <= 0.0 < f_of_rho(p, h_c * 1.000001, rho0)
+
+    @pytest.mark.parametrize("rho0", [0.1, 0.4, 0.6, 0.8, 0.99])
+    def test_f_changes_sign_at_it_for_random_params(self, rho0):
+        # at h_c itself F is a cancellation residue, a few ulps of gamma_0 sp^2
+        rng = substream(15)
+        for _ in range(200):
+            p = random_params(rng)
+            h_c = h_threshold(p, rho0)
+            assert abs(f_of_rho(p, h_c, rho0)) <= 1e-14 * p.gamma_0 * p.sigma_p_sq
+            assert f_of_rho(p, h_c * 0.999999, rho0) < 0.0 < f_of_rho(p, h_c * 1.000001, rho0)
+
+    def test_h0_keeps_its_bits_on_the_partial_battery_draws(self):
+        # sp^2/(1 - 0.0) is sp^2 exactly, so every caller of H0 keeps its outputs
+        view, _ = verify._draw_partial(substream(2025), 10_000)
+        np.testing.assert_array_equal(
+            h_threshold(view), view.gamma_0 * (view.sigma_r_sq + view.sigma_p_sq) / view.p_s)
+
 
 class TestWRatio:
     def test_zero_at_rho_max(self, ref_params):
@@ -228,6 +250,14 @@ class TestWRatio:
 
 
 class TestConditionalOutage:
+    @pytest.mark.parametrize("lambda_g", [1.5, 1e-5])
+    def test_a_subnormal_f_gives_certain_outage_without_a_warning(self, ref_params, lambda_g):
+        # at rho = 5e-324, F is subnormal: the exponent overflows (or, times a
+        # small lambda_g, divides by zero) to -inf, and the outage is exactly 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert conditional_outage(ref_params, 1.5, 5e-324, lambda_g) == 1.0
+
     def test_certain_below_threshold(self, ref_params):
         h0 = h_threshold(ref_params)
         for rho in (0.1, 0.5, 0.9, 1.0):
@@ -326,9 +356,6 @@ class TestPointwiseDominance:
     """Partial CSI minimizes the g-averaged outage at every |h|^2, not only on
     average: criterion 8's dominance, stated exactly."""
 
-    # at rho = 5e-324, the smallest subnormal, F(rho) is as small: the exponent
-    # overflows to inf and the outage is exactly 1, as it should be
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(p_s_dbm=st.floats(20.0, 55.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),
            epsilon=st.floats(0.1, 1.0), rate=st.floats(0.5, 4.0), lambda_g=st.floats(0.1, 10.0),
@@ -368,7 +395,7 @@ def k1_outage(params, lambda_h, lambda_g, rho0, q):
     P_out = 1 - exp(-h_c/lambda_h) u K1(u), u = 2 sqrt(c/lambda_h), with
     c = gamma_0 sd (1 - rho0 + q) / (rho0 (1 - rho0) P_s lambda_g) (Nasir, Zhou,
     Durrani and Kennedy, IEEE TWC 2013, arXiv 1212.5406)."""
-    h_c = params.gamma_0 * (params.sigma_r_sq + params.sigma_p_sq / (1.0 - rho0)) / params.p_s
+    h_c = h_threshold(params, rho0)
     c = (params.gamma_0 * params.sigma_d_eff * (1.0 - rho0 + q)
          / (rho0 * (1.0 - rho0) * params.p_s * lambda_g))
     u = 2.0 * math.sqrt(c / lambda_h)
@@ -379,23 +406,24 @@ class TestFixedRhoBracket:
     """q(|h|^2) falls from q(h_c) to 0 above the fixed-rho0 threshold h_c, so the
     K1 closed form at q = 0 and at q = q(h_c) brackets the exact outage."""
 
-    def test_exact_outage_lies_in_the_k1_bracket(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        exact = importlib.import_module("exact")
+    def test_exact_outage_lies_in_the_k1_bracket(self, checked_outage):
+        # both the benchmark's checker and sim.outage_exact, which agree to 1e-9
         lambda_h, worst_low, worst_high = 1.5, 0.0, 0.0
         for p_s_dbm, lambda_g, epsilon, rho0 in itertools.product(
                 (20.0, 35.0, 50.0, 65.0, 80.0), (1.5, 9.0), (1.0, 0.5), (0.4, 0.6, 0.8)):
             p = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=dbm_to_linear(-20.0),
                              sigma_p_sq=dbm_to_linear(-20.0), sigma_d_sq=dbm_to_linear(-17.0),
                              rate=3.0, epsilon=epsilon)
-            link = exact.Link(p.p_s, p.sigma_r_sq, p.sigma_p_sq, p.sigma_d_eff, p.gamma_0,
-                              lambda_h, lambda_g)
-            p_out = exact.outage(link, f"fixed:{rho0}")[0]
+            fading = FadingParams(lambda_h, lambda_g)
+            p_out = checked_outage(p, fading, f"fixed:{rho0}")
+            engine = outage_exact(p, fading, policy.Fixed(rho0))
+            assert engine == pytest.approx(p_out, rel=1e-9, abs=0.0)
             low, h_c = k1_outage(p, lambda_h, lambda_g, rho0, 0.0)
             high, _ = k1_outage(p, lambda_h, lambda_g, rho0,
                                 p.sigma_p_sq / (p.p_s * h_c + p.sigma_r_sq))
             # strictly above the q = 0 form, so the upper bound needs its q(h_c)
             assert low < p_out <= high, (p_s_dbm, lambda_g, epsilon, rho0)
+            assert low < engine <= high, (p_s_dbm, lambda_g, epsilon, rho0)
             worst_low = max(worst_low, 1.0 - low / p_out)
             worst_high = max(worst_high, high / p_out - 1.0)
         # and the bracket is tight: measured 1.35 % below and 9.6 % above

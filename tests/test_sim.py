@@ -1,5 +1,7 @@
 import concurrent.futures
 import dataclasses
+import inspect
+import itertools
 import math
 import multiprocessing
 import os
@@ -23,6 +25,7 @@ from swipt_relay.policy import (
     PartialCSI,
     decide_rho,
     full_csi_rho,
+    parse_policy,
     partial_csi_rho,
 )
 from swipt_relay.sim import (
@@ -31,6 +34,7 @@ from swipt_relay.sim import (
     gain_eta,
     gains_from_sweep,
     horizontal_gain_db,
+    outage_exact,
     outage_mc,
     outage_point,
     outage_semi_analytic,
@@ -446,8 +450,10 @@ class TestSemiAnalytic:
         fading = FadingParams(lambda_h=h0 / 100, lambda_g=1.5)
         est = outage_semi_analytic(ref_params, fading, PartialCSI(), 10000, 3)
         assert est.p_out > 0.999
+        assert outage_exact(ref_params, fading, PartialCSI()) > 0.999
 
     def test_cross_check_with_mc(self, ref_params, ref_fading):
+        # three routes: MC and semi-analytic agree, and each is within 3 sigma of exact
         for eps in (1.0, 0.5):
             params = dataclasses.replace(ref_params, epsilon=eps)
             for policy in (PartialCSI(), Fixed(0.6)):
@@ -455,6 +461,29 @@ class TestSemiAnalytic:
                 sa = outage_semi_analytic(params, ref_fading, policy, 4 * 10**5, 12)
                 limit = 3 * math.hypot(mc.std_err, sa.std_err)
                 assert abs(mc.p_out - sa.p_out) <= limit, (eps, policy)
+                exact = outage_exact(params, ref_fading, policy)
+                assert abs(mc.p_out - exact) <= 3 * mc.std_err, (eps, policy)
+                assert abs(sa.p_out - exact) <= 3 * sa.std_err, (eps, policy)
+
+
+class TestOutageExact:
+    @pytest.mark.parametrize("p_s_dbm", [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0])
+    @pytest.mark.parametrize("name", ["partial_csi", "fixed:0.4", "fixed:0.8"])
+    def test_equals_the_benchmark_quadrature(self, ref_params, checked_outage, name, p_s_dbm):
+        for lambda_g, epsilon in itertools.product((1.5, 9.0), (1.0, 0.5)):
+            p = dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s_dbm), epsilon=epsilon)
+            fading = FadingParams(1.5, lambda_g)
+            assert outage_exact(p, fading, parse_policy(name)) == pytest.approx(
+                checked_outage(p, fading, name), rel=1e-9, abs=0.0)
+
+    def test_full_csi_has_the_partial_csi_value(self, ref_params, ref_fading):
+        for p_s_dbm in (20.0, 40.0, 55.0):
+            p = dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s_dbm))
+            assert outage_exact(p, ref_fading, FullCSI()) == outage_exact(p, ref_fading, PartialCSI())
+
+    def test_takes_params_fading_policy_and_returns_a_float(self, ref_params, ref_fading):
+        assert list(inspect.signature(outage_exact).parameters) == ["params", "fading", "policy"]
+        assert type(outage_exact(ref_params, ref_fading, Fixed(0.5))) is float
 
 
 class TestGainEta:
