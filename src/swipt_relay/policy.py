@@ -13,11 +13,12 @@ Three policies map a channel realization to a splitting ratio rho:
 Every rule returns rho, a scalar or an array shaped like the channel;
 rho = 1 means a harvest-only block.
 
-The oracle_grid_* functions are deliberately brute force and call no closed
-form, not even the threshold H0: they are the independent verification route
-for the closed forms and must stay that way. Each scans a uniform rho grid,
-ties going to the smaller rho, for a block of instances at a time: its
-objective is one matrix product of per-instance coefficients with grid rows.
+The oracle_grid_* functions are the independent verification route for the
+closed forms and must stay that way: they call no closed form, not even the
+threshold H0, and pick the best point of a uniform rho grid, ties going to the
+smaller rho. Both objectives are unimodal in rho (each oracle says why), so
+the grid optimum is the first index where the objective stops improving, and
+a bisection over grid indices finds it for all instances at once.
 """
 from __future__ import annotations
 
@@ -42,9 +43,6 @@ __all__ = [
     "oracle_grid_full",
     "oracle_grid_partial",
 ]
-
-BLOCK_VALUES = 2 ** 17  # values a grid oracle's block buffers hold: 1 MiB, in L2
-
 
 @dataclass(frozen=True)
 class Fixed:
@@ -129,56 +127,57 @@ def decide_rho(policy: Policy, params, h_sq, g_sq, *, terms=None):
 
 
 @lru_cache(maxsize=4)
-def _grid_rows(step: float) -> np.ndarray:
-    """The oracles' read-only grid table, built once per step: 1/(1-rho), 1/rho,
-    1/(rho(1-rho)) for the full-CSI objective, rho(1-rho), rho, 1-rho for the
-    partial-CSI one. Row 4 is the rho grid itself, which the picks index."""
+def _rho_grid(step: float) -> np.ndarray:
+    """The oracles' read-only uniform rho grid, built once per step."""
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"grid step must be in (0, 1e-3], got {step!r}")
     rho = np.linspace(step, 1.0 - step, round(1.0 / step) - 1)
-    info = 1.0 - rho
-    rows = np.array([1.0 / info, 1.0 / rho, 1.0 / (rho * info), rho * info, rho, info])
-    rows.flags.writeable = False
-    return rows
+    rho.flags.writeable = False
+    return rho
 
 
-def _by_block(pick, held, step, *columns):
-    """Each instance's rho, by pick(coef, rows, *buffers) on blocks of instances,
-    rows being the grid table; the `held` (block, grid) buffers are allocated
-    once per call and each block gets views of them. One column per coefficient."""
-    columns = np.broadcast_arrays(*columns)
-    coef = np.stack(columns, axis=-1).reshape(-1, len(columns))
-    rows = _grid_rows(step)
-    size = max(1, min(len(coef), BLOCK_VALUES // (held * rows.shape[1])))
-    buffers = np.empty((held, size, rows.shape[1]))
-    rho = np.empty(len(coef))
-    for i in range(0, len(coef), size):
-        block = coef[i:i + size]
-        rho[i:i + size] = pick(block, rows, *buffers[:, :len(block)])
-    return float(rho[0]) if columns[0].ndim == 0 else rho.reshape(columns[0].shape)
+def _grid_argmin(loss, step, *coef):
+    """Per instance, the grid rho at the first index k with loss(rho_{k+1}) >=
+    loss(rho_k), else the last, and the loss there: for a loss that falls, then
+    rises, the grid argmin, ties to the smaller rho. k grows by each power of
+    two, largest first and capped at the last index, while the loss falls."""
+    coef = np.broadcast_arrays(*coef)
+    grid = _rho_grid(step)
+    last = grid.size - 1
+    k = np.zeros(coef[0].shape, dtype=np.intp)
+    span = 1 << (last.bit_length() - 1)
+    while span:
+        t = np.minimum(k + span, last)
+        k = np.where(loss(grid[t], *coef) < loss(grid[t - 1], *coef), t, k)
+        span >>= 1
+    return grid[k], loss(grid[k], *coef)
 
 
 def oracle_grid_full(params, h_sq, g_sq, step: float = 1e-4):
-    """Brute-force argmax of snr() over the grid, as the argmin of
-    L = g^2 sp^2/(1-rho) + sd^2/rho + sd^2 sp^2/((P_s h^2 + sr^2) rho(1-rho)):
-    snr()'s denominator terms over its numerator P_s h^2 g^2 rho(1-rho), less
-    the rho-free g^2 sr^2. It shares no algebra with the closed form's c1."""
+    """Grid argmax of snr(), as the argmin of L = g^2 sp^2/(1-rho) + sd^2/rho
+    + sd^2 sp^2/((P_s h^2 + sr^2) rho(1-rho)): snr()'s denominator terms over its
+    numerator P_s h^2 g^2 rho(1-rho), less the rho-free g^2 sr^2. It shares no
+    algebra with the closed form's c1. A sum of convex terms with nonnegative
+    weights and sd^2 > 0, L is strictly convex on (0, 1)."""
     sp, sd = params.sigma_p_sq, params.sigma_d_eff
-    def pick(coef, rows, objective):
-        return rows[4][np.argmin(np.matmul(coef, rows[:3], out=objective), axis=1)]
-    return _by_block(pick, 1, step, g_sq * sp, sd, sd * sp / (params.p_s * h_sq + params.sigma_r_sq))
+    def loss(rho, a, b, c):
+        info = 1.0 - rho
+        return a / info + b / rho + c / (rho * info)
+    rho, _ = _grid_argmin(loss, step, g_sq * sp, sd, sd * sp / (params.p_s * h_sq + params.sigma_r_sq))
+    return rho if rho.ndim else float(rho)
 
 
 def oracle_grid_partial(params, h_sq, step: float = 1e-4):
-    """Brute-force argmax of W(rho) = F/sigma_0^2 over the grid, as that of
-    sd^2 W = (a rho(1-rho) - gamma_0 sp^2 rho)/((1 - rho) + q), with a and q
-    from margin_terms. sigma_0^2 > 0, so W has the sign of F: W <= 0 at the
-    argmax means no grid point has F(rho) > 0, outage is certain and the
-    decision is harvest-only (rho = 1)."""
-    def pick(coef, rows, w, den):
-        np.matmul(coef[:, :2], rows[3:5], out=w)
-        w /= np.add(coef[:, 2:], rows[5], out=den)
-        best = np.argmax(w, axis=1)
-        return np.where(w[np.arange(len(w)), best] > 0.0, rows[4][best], 1.0)
+    """Grid argmax of W(rho) = F/sigma_0^2, as that of sd^2 W = N/D with
+    N = a rho(1-rho) - gamma_0 sp^2 rho, D = (1 - rho) + q > 0 (a, q from
+    margin_terms). W' = (N'D + N)/D^2 and (N'D + N)' = N''D = -2aD < 0 for a > 0,
+    so W' changes sign at most once; for a <= 0, N < 0 on the whole grid.
+    W has the sign of F: W <= 0 at the argmax means no grid point has
+    F(rho) > 0, outage is certain and the decision is harvest-only (rho = 1)."""
+    def loss(rho, a, c, q):
+        info = 1.0 - rho
+        return -(a * (rho * info) + c * rho) / (info + q)
     a, q = margin_terms(params, h_sq)
-    return _by_block(pick, 2, step, a, -params.gamma_0 * params.sigma_p_sq, q)
+    rho, loss_there = _grid_argmin(loss, step, a, -params.gamma_0 * params.sigma_p_sq, q)
+    rho = np.where(loss_there < 0.0, rho, 1.0)
+    return rho if rho.ndim else float(rho)

@@ -7,11 +7,11 @@ beta-form SNR for the algebraic identity, and the semi-analytic estimator for
 the Monte Carlo one. The CLI `verify` command runs all of them; the
 acceptance tests run the same code at full instance counts.
 
-The two grid batteries and the SNR identity work on whole arrays: one draw,
-one closed-form call, one oracle call and one comparison per battery, over a
-record array of the instances' parameters built straight from the uniforms.
-The oracles minimize snr()'s denominator over its numerator and maximize
-sd^2 W, ties to the smaller rho.
+The two grid batteries and the SNR identity work on whole arrays (one draw,
+closed-form call, oracle call and comparison per battery) over a record array
+of the instances' parameters built straight from the uniforms. The oracles
+bisect the grid for the argmin of snr()'s denominator over its numerator and
+the argmax of sd^2 W, both unimodal in rho, ties going to the smaller rho.
 """
 from __future__ import annotations
 

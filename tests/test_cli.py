@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swipt_relay import cli, verify
+from swipt_relay import cli, policy, verify
 from swipt_relay.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -324,3 +324,25 @@ class TestVerify:
         monkeypatch.setattr(verify, "full_csi_rho", off_optimum)
         assert main(["verify", "--quick"]) == EXIT_VERIFY
         assert "[FAIL] full_csi_vs_grid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", ["offset", "detuned", "threshold"])
+    def test_partial_csi_fault_injection_fails(self, monkeypatch, capsys, fault):
+        # a partial-CSI rule 0.05 off, or 1e-3 relative below, its optimum where
+        # it transmits, or one that harvests up to 1.5 H0, must fail its battery
+        if fault == "threshold":
+            threshold = policy.h_threshold
+            monkeypatch.setattr(policy, "h_threshold", lambda p: 1.5 * threshold(p))
+        else:
+            optimum = verify.partial_csi_rho
+            moved = {"offset": lambda rho: np.minimum(rho + 0.05, 0.999999),
+                     "detuned": lambda rho: rho * (1.0 - 1e-3)}[fault]
+
+            def off_optimum(params, h_sq):
+                rho = optimum(params, h_sq)
+                return np.where(rho < 1.0, moved(rho), 1.0)
+
+            monkeypatch.setattr(verify, "partial_csi_rho", off_optimum)
+        assert main(["verify", "--quick"]) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "[FAIL] partial_csi_vs_grid" in out
+        assert "[PASS] full_csi_vs_grid" in out

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swipt_relay.channel import substream
 from swipt_relay.link import (
@@ -40,14 +40,14 @@ PART_RHO_REF = 0.9976912602008429
 
 def literal_oracle_full(params, h_sq, g_sq, step):
     """The full-CSI grid oracle as the literal argmax of snr() over the grid."""
-    grid = policy._grid_rows(step)[4]
+    grid = policy._rho_grid(step)
     return float(grid[int(np.argmax(snr(params, h_sq, g_sq, grid)))])
 
 
 def literal_oracle_partial(params, h_sq, step):
     """The partial-CSI grid oracle as the literal argmax of w_ratio over the grid,
     harvest-only (rho = 1) when W <= 0 there."""
-    grid = policy._grid_rows(step)[4]
+    grid = policy._rho_grid(step)
     w = w_ratio(params, h_sq, grid)
     best = int(np.argmax(w))
     return float(grid[best]) if w[best] > 0.0 else 1.0
@@ -69,10 +69,34 @@ def assert_oracles_match_the_literal_argmax(seed, count, step=verify.STEP):
     return float(np.mean(rho == 1.0))
 
 
+def params_at(p_s_dbm, noise_dbm, epsilon=1.0, rate=3.0):
+    """SystemParams from P_s and the noises sigma_r^2, sigma_p^2, sigma_d^2 in dBm."""
+    sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
+    return SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
+                        sigma_d_sq=sd, rate=rate, epsilon=epsilon)
+
+
+# Operating points that push the optima toward rho = 0 (sp^2 far above sd^2)
+# and toward rho = 1 (the reverse, at high power), and channels there, as
+# (point, log10(|h|^2/H0), log10 |g|^2, grid index of the optimum), whose
+# optimum is the grid's first or last point at both steps tested.
+LOW_POINT = (20.0, (-30.0, -10.0, -30.0))
+HIGH_POINT = (55.0, (-10.0, -30.0, -10.0))
+FULL_EDGES = [(LOW_POINT, 0.0, 8.0, 0), (HIGH_POINT, 9.0, -12.0, -1)]
+# partial CSI: just above H0 the feasible interval holds only the first point
+PARTIAL_EDGES = {1e-4: [(LOW_POINT, 1e-4, 0.0, 0), (HIGH_POINT, 6.0, 0.0, -1)],
+                 1e-3: [(LOW_POINT, 7e-4, 0.0, 0), (HIGH_POINT, 6.0, 0.0, -1)]}
+
+
+def gains_at(params, h_exp, g_exp):
+    """|h|^2 = H0 10^h_exp and |g|^2 = 10^g_exp; broadcasts."""
+    return h_threshold(params) * 10.0 ** np.asarray(h_exp), 10.0 ** np.asarray(g_exp)
+
+
 def masked_oracle_partial(params, h_sq, step):
     """The partial-CSI grid oracle in its masked form: argmax of W over the grid
     points where F(rho) > 0, harvest-only (rho = 1) when there are none."""
-    grid = policy._grid_rows(step)[4]
+    grid = policy._rho_grid(step)
     f = f_of_rho(params, h_sq, grid)
     feasible = f > 0.0
     if not np.any(feasible):
@@ -224,9 +248,7 @@ class TestDecideRho:
     def test_terms_keyword_changes_no_bit(self, p_s_dbm, noise_dbm, epsilon, rate,
                                           lambda_g, channel):
         # |h|^2 from 1e-10 reaches below H0 (at least 2.6e-9 here) at every operating point
-        sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
-        params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
-                              sigma_d_sq=sd, rate=rate, epsilon=epsilon)
+        params = params_at(p_s_dbm, noise_dbm, epsilon, rate)
         h, g = np.array(channel).T
         terms = margin_terms(params, h)
 
@@ -246,17 +268,15 @@ class TestDecideRho:
 
 class TestOracles:
     def test_grid_step_precondition(self, ref_params):
-        cached = policy._grid_rows.cache_info().currsize
+        cached = policy._rho_grid.cache_info().currsize
         for _ in range(2):  # a rejected step is not cached
             with pytest.raises(ValueError):
                 oracle_grid_full(ref_params, 1.5, 1.5, step=1e-2)
-        assert policy._grid_rows.cache_info().currsize == cached
+        assert policy._rho_grid.cache_info().currsize == cached
 
     def test_grid_is_built_once_per_step_and_read_only(self):
-        rows = policy._grid_rows(1e-4)
-        assert policy._grid_rows(1e-4) is rows
-        assert not rows.flags.writeable
-        grid = rows[4]
+        grid = policy._rho_grid(1e-4)
+        assert policy._rho_grid(1e-4) is grid
         assert not grid.flags.writeable
         assert grid.size == 9999 and grid[0] == 1e-4 and grid[-1] == 1.0 - 1e-4
 
@@ -300,7 +320,7 @@ class TestOracles:
 
 
 class TestOraclesEqualTheLiteralArgmax:
-    """The block-wise oracles against the argmax of snr() or w_ratio itself."""
+    """The bisection oracles against the argmax of snr() or w_ratio itself."""
 
     @pytest.mark.parametrize("battery,seed", [
         (verify.battery_full_csi, 2024), (verify.battery_partial_csi, 2025)])
@@ -316,18 +336,47 @@ class TestOraclesEqualTheLiteralArgmax:
     def test_on_the_scalar_loop_seeds(self, seed):
         assert_oracles_match_the_literal_argmax(seed, 1000)
 
-    def test_at_block_edges(self):
-        # instances per block: the full-CSI oracle holds one (block, grid)
-        # buffer, the partial-CSI one two
-        size = policy._grid_rows(verify.STEP)[4].size
-        rows = {policy.BLOCK_VALUES // (held * size) for held in (1, 2)}
-        assert min(rows) > 1
-        counts = {1} | {n + d for n in rows for d in (-1, 0, 1)}
-        for count in sorted(counts):
+    def test_at_the_bisection_edges(self):
+        # one and two instances; optima at the grid's first and last index, at
+        # the verify step and at a coarse one
+        for count in (1, 2):
             assert_oracles_match_the_literal_argmax(31 + count, count)
+        for step in (verify.STEP, 1e-3):
+            grid = policy._rho_grid(step)
+            for point, h_exp, g_exp, index in FULL_EDGES:
+                p = params_at(*point)
+                h, g = gains_at(p, h_exp, g_exp)
+                assert literal_oracle_full(p, h, g, step) == grid[index]
+                assert oracle_grid_full(p, h, g, step) == grid[index]
+            for point, h_exp, g_exp, index in PARTIAL_EDGES[step]:
+                p = params_at(*point)
+                h, _ = gains_at(p, h_exp, g_exp)
+                assert literal_oracle_partial(p, h, step) == grid[index]
+                assert oracle_grid_partial(p, h, step) == grid[index]
+        assert_oracles_match_the_literal_argmax(33, 1000, step=1e-3)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(p_s_dbm=st.floats(20.0, 55.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),
+           epsilon=st.floats(0.1, 1.0), rate=st.floats(0.5, 4.0),
+           channel=st.lists(st.tuples(st.floats(-1.0, 6.0), st.floats(-3.0, 3.0)),
+                            min_size=1, max_size=16))
+    @example(p_s_dbm=LOW_POINT[0], noise_dbm=LOW_POINT[1], epsilon=1.0, rate=3.0,
+             channel=[FULL_EDGES[0][1:3], PARTIAL_EDGES[1e-4][0][1:3]])
+    @example(p_s_dbm=HIGH_POINT[0], noise_dbm=HIGH_POINT[1], epsilon=1.0, rate=3.0,
+             channel=[FULL_EDGES[1][1:3], PARTIAL_EDGES[1e-4][1][1:3]])
+    def test_on_wide_ranges(self, p_s_dbm, noise_dbm, epsilon, rate, channel):
+        # |h|^2 from H0/10 to 10^6 H0, |g|^2 from 10^-3 to 10^3; the examples
+        # hold optima at the grid's first and last points
+        params = params_at(p_s_dbm, noise_dbm, epsilon, rate)
+        h, g = gains_at(params, *np.array(channel).T)
+        step = verify.STEP
+        assert oracle_grid_full(params, h, g, step).tolist() == [
+            literal_oracle_full(params, hh, gg, step) for hh, gg in zip(h.tolist(), g.tolist())]
+        assert oracle_grid_partial(params, h, step).tolist() == [
+            literal_oracle_partial(params, hh, step) for hh in h.tolist()]
 
     def test_at_a_finer_step(self):
-        # 99,999 grid points: one instance per block
+        # 99,999 grid points: 17 bisection rounds
         assert_oracles_match_the_literal_argmax(32, 40, step=1e-5)
 
     def test_return_types(self, ref_params):

@@ -481,6 +481,28 @@ class TestOutageExact:
             p = dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s_dbm))
             assert outage_exact(p, ref_fading, FullCSI()) == outage_exact(p, ref_fading, PartialCSI())
 
+    @pytest.mark.parametrize("fixed", [False, True], ids=["partial_csi", "fixed"])
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3), epsilon=st.floats(0.1, 1.0),
+           rate=st.floats(0.5, 4.0), rho0=st.floats(0.05, 0.95),
+           p_s_dbm=st.lists(st.floats(20.0, 55.0), min_size=2, max_size=5),
+           lambda_h=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=5),
+           lambda_g=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=5))
+    def test_does_not_increase_in_power_or_mean_gains(
+            self, fixed, noise_dbm, epsilon, rate, rho0, p_s_dbm, lambda_h, lambda_g):
+        # each list is a sweep of one variable; the others stay at their first value
+        policy = Fixed(rho0) if fixed else PartialCSI()
+        sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
+
+        def outage(p_s_dbm=p_s_dbm[0], lambda_h=lambda_h[0], lambda_g=lambda_g[0]):
+            params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
+                                  sigma_d_sq=sd, rate=rate, epsilon=epsilon)
+            return outage_exact(params, FadingParams(lambda_h, lambda_g), policy)
+
+        for name, values in (("p_s_dbm", p_s_dbm), ("lambda_h", lambda_h), ("lambda_g", lambda_g)):
+            curve = [outage(**{name: v}) for v in sorted(values)]
+            assert all(b <= a for a, b in zip(curve, curve[1:])), (name, sorted(values), curve)
+
     def test_takes_params_fading_policy_and_returns_a_float(self, ref_params, ref_fading):
         assert list(inspect.signature(outage_exact).parameters) == ["params", "fading", "policy"]
         assert type(outage_exact(ref_params, ref_fading, Fixed(0.5))) is float

@@ -248,10 +248,11 @@ def test_the_snr_identity_points_are_the_scalar_params(monkeypatch):
     _assert_view_is_the_scalar_params(view.ravel(), _scalar_rows(2026, 1000, 0))
 
 
-# A fresh interpreter: the heap has not yet grown, so (block, grid) arrays made
-# and freed per block would each be mapped and unmapped again (about 338,000
-# minor faults for the partial battery, against about 1,900 with buffers
-# allocated once per oracle call).
+# A fresh interpreter: the heap has not yet grown, so large arrays made and
+# freed in a loop would each be mapped and unmapped again; (block, grid)
+# arrays per block of instances took this battery about 338,000 minor faults.
+# The bisection oracle's arrays hold one value per instance, and the battery
+# takes about 1,500.
 FRESH_PARTIAL = """
 import resource
 from swipt_relay.verify import battery_partial_csi
