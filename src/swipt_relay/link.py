@@ -28,6 +28,15 @@ polynomial-denominator form, finite on all of [0, 1]; snr_via_beta() goes
 literally through the AF normalization factor beta and the relay transmit
 power, has removable singularities at rho in {0, 1}, and exists only as an
 independent cross-check of snr().
+
+The functions on the Monte Carlo path (margin_terms, f_of_rho, sigma0_sq,
+conditional_outage, and policy's rules) take an optional out=, a float array
+of the result's shape (a pair for margin_terms) that receives the result and
+is returned, and where they need intermediates, scratch=, a (float, bool)
+pair of such arrays whose contents they overwrite. Every operation then
+writes into these and is the plain expression's, up to the order of the
+operands of a + or a *, which IEEE arithmetic ignores, so the bits do not
+depend on them; out must not be an input.
 """
 from __future__ import annotations
 
@@ -94,27 +103,30 @@ def snr_via_beta(params, h_sq, g_sq, rho):
     return params.p_s * h_sq * g_sq / den
 
 
-def margin_terms(params, h_sq):
+def margin_terms(params, h_sq, out=None):
     """The terms (a, q) of the module docstring at |h|^2 = h_sq."""
-    ps_h = params.p_s * h_sq
-    a = ps_h - params.gamma_0 * params.sigma_r_sq
-    return a, params.sigma_p_sq / (ps_h + params.sigma_r_sq)
+    a, q = (None, None) if out is None else out
+    ps_h = np.multiply(params.p_s, h_sq, out=a)
+    q = np.divide(params.sigma_p_sq, np.add(ps_h, params.sigma_r_sq, out=q), out=q)
+    return np.subtract(ps_h, params.gamma_0 * params.sigma_r_sq, out=a), q
 
 
-def f_of_rho(params, h_sq, rho, *, terms=None):
+def f_of_rho(params, h_sq, rho, *, terms=None, out=None):
     """F(rho), the g-independent numerator margin of the outage condition:
     the feasible set is exactly {rho in (0,1) : F(rho) > 0}. terms, if given,
     is margin_terms(params, h_sq); sigma0_sq and conditional_outage take it too."""
     a, _ = margin_terms(params, h_sq) if terms is None else terms
     rho = np.asarray(rho, dtype=float)
-    return rho * ((1.0 - rho) * a - params.gamma_0 * params.sigma_p_sq)
+    f = np.multiply(np.subtract(1.0, rho, out=out), a, out=out)
+    return np.multiply(rho, np.subtract(f, params.gamma_0 * params.sigma_p_sq, out=out), out=out)
 
 
-def sigma0_sq(params, h_sq, rho, *, terms=None):
+def sigma0_sq(params, h_sq, rho, *, terms=None, out=None):
     """Effective noise sigma_0^2(rho); strictly positive on (0, 1] and affine
     decreasing in rho."""
     _, q = margin_terms(params, h_sq) if terms is None else terms
-    return params.sigma_d_eff * (1.0 - np.asarray(rho, dtype=float) + q)
+    s = np.add(np.subtract(1.0, np.asarray(rho, dtype=float), out=out), q, out=out)
+    return np.multiply(params.sigma_d_eff, s, out=out)
 
 
 def h_threshold(params, rho=0.0):
@@ -129,7 +141,7 @@ def w_ratio(params, h_sq, rho):
     return f_of_rho(params, h_sq, rho) / sigma0_sq(params, h_sq, rho)
 
 
-def conditional_outage(params, h_sq, rho, lambda_g, *, terms=None):
+def conditional_outage(params, h_sq, rho, lambda_g, *, terms=None, out=None, scratch=None):
     """Outage probability given |h|^2 and rho, averaged over the exponential g.
 
     For feasible rho (F(rho) > 0) this is 1 - exp(-gamma_0*sigma_0^2/(F*lambda_g));
@@ -138,11 +150,18 @@ def conditional_outage(params, h_sq, rho, lambda_g, *, terms=None):
     """
     if terms is None:
         terms = margin_terms(params, h_sq)
-    f = f_of_rho(params, h_sq, rho, terms=terms)
-    s0 = sigma0_sq(params, h_sq, rho, terms=terms)
-    feasible = f > 0.0
-    safe_f = np.where(feasible, f, 1.0)
+    p = np.empty(np.broadcast(rho, *terms).shape) if out is None else out
+    f, mask = (np.empty_like(p), np.empty(p.shape, bool)) if scratch is None else scratch
+    f = f_of_rho(params, h_sq, rho, terms=terms, out=f)
+    s0 = sigma0_sq(params, h_sq, rho, terms=terms, out=p)
+    everywhere = np.greater(f, 0.0, out=mask).all()
+    if not everywhere:  # divide by 1 where F <= 0; p is set to 1 there below
+        infeasible = np.logical_not(mask, out=mask)
+        np.copyto(f, 1.0, where=infeasible)
     with np.errstate(over="ignore", divide="ignore"):  # subnormal F: p is exactly 1
-        p = -np.expm1(-params.gamma_0 * s0 / (safe_f * lambda_g))
-    out = np.where(feasible, p, 1.0)
-    return float(out) if np.ndim(out) == 0 else out
+        p = np.divide(np.multiply(-params.gamma_0, s0, out=p),
+                      np.multiply(f, lambda_g, out=f), out=p)
+        p = np.negative(np.expm1(p, out=p), out=p)
+    if not everywhere:
+        np.copyto(p, 1.0, where=infeasible)
+    return float(p) if p.ndim == 0 else p

@@ -86,7 +86,7 @@ def policy_name(policy: Policy) -> str:
     return {named: name for name, named in _NAMED.items()}[policy]
 
 
-def full_csi_rho(params, h_sq, g_sq, *, terms=None):
+def full_csi_rho(params, h_sq, g_sq, *, terms=None, out=None, scratch=None):
     """SNR-maximizing rho, closed form. Broadcasts over arrays.
 
     The stationarity quadratic a1*rho^2 - 2*c1*rho + c1 = 0 has
@@ -94,35 +94,52 @@ def full_csi_rho(params, h_sq, g_sq, *, terms=None):
     It is solved in the rationalized form rho* = c1 / (c1 + sqrt(c1*(c1 - a1))),
     which is the in-(0,1) root for any sign of a1 and stays exact through
     a1 -> 0 (where the two-branch textbook form needs a special case and
-    loses digits). terms, if given, is margin_terms(params, h_sq), as in link.
+    loses digits). terms, if given, is margin_terms(params, h_sq), and out and
+    scratch are as in link.
     """
     _, q = margin_terms(params, h_sq) if terms is None else terms
-    c1 = params.sigma_d_eff * (1.0 + q)
-    return c1 / (c1 + np.sqrt(c1 * (params.sigma_d_eff * q + g_sq * params.sigma_p_sq)))
+    sd, c1 = params.sigma_d_eff, None if scratch is None else scratch[0]
+    rho = np.add(np.multiply(g_sq, params.sigma_p_sq, out=out), np.multiply(sd, q, out=c1), out=out)
+    c1 = np.multiply(sd, np.add(1.0, q, out=c1), out=c1)
+    rho = np.sqrt(np.multiply(c1, rho, out=out), out=out)
+    return np.divide(c1, np.add(c1, rho, out=out), out=out)
 
 
-def partial_csi_rho(params, h_sq, *, terms=None):
+def partial_csi_rho(params, h_sq, *, terms=None, out=None, scratch=None):
     """Outage-minimizing rho given |h|^2 only, the maximizer of
     F(rho)/sigma_0^2(rho): rho = (1 + q) - sqrt((1 + q)*(q + gamma_0 sp^2/a)),
     or 1 (harvest only) at or below the feasibility threshold H0. Broadcasts;
-    terms as in full_csi_rho."""
+    terms, out and scratch as in full_csi_rho."""
     h_sq = np.asarray(h_sq, dtype=float)
     a, q = margin_terms(params, h_sq) if terms is None else terms
-    feasible = h_sq > h_threshold(params)
-    a = np.where(feasible, a, 1.0)  # a > 0 whenever feasible; mask the rest
-    rho = (1.0 + q) - np.sqrt((1.0 + q) * (q + params.gamma_0 * params.sigma_p_sq / a))
-    return np.where(feasible, rho, 1.0)
+    rho = np.empty(np.broadcast(a, q).shape) if out is None else out
+    p1q, mask = (np.empty_like(rho), np.empty(rho.shape, bool)) if scratch is None else scratch
+    c = params.gamma_0 * params.sigma_p_sq
+    everywhere = np.greater(h_sq, h_threshold(params), out=mask).all()
+    if everywhere:
+        np.divide(c, a, out=rho)
+    else:  # a > 0 only above H0: divide by 1 elsewhere, and set rho = 1 there below
+        np.copyto(rho, c)
+        np.divide(c, a, out=rho, where=mask)
+    np.add(1.0, q, out=p1q)
+    np.multiply(p1q, np.add(q, rho, out=rho), out=rho)
+    np.subtract(p1q, np.sqrt(rho, out=rho), out=rho)
+    if not everywhere:
+        np.copyto(rho, 1.0, where=np.logical_not(mask, out=mask))
+    return rho
 
 
-def decide_rho(policy: Policy, params, h_sq, g_sq, *, terms=None):
+def decide_rho(policy: Policy, params, h_sq, g_sq, *, terms=None, out=None, scratch=None):
     """Per-realization rho for any policy; broadcasts over channel arrays.
-    terms, if given, is margin_terms(params, h_sq), passed on to the rule."""
+    terms, out and scratch, if given, are passed on to the rule, as in link."""
     if isinstance(policy, Fixed):
-        return np.full(np.shape(h_sq), policy.rho0, dtype=float)
+        rho = np.empty(np.shape(h_sq)) if out is None else out
+        rho.fill(policy.rho0)
+        return rho
     if isinstance(policy, FullCSI):
-        return full_csi_rho(params, h_sq, g_sq, terms=terms)
+        return full_csi_rho(params, h_sq, g_sq, terms=terms, out=out, scratch=scratch)
     if isinstance(policy, PartialCSI):
-        return partial_csi_rho(params, h_sq, terms=terms)
+        return partial_csi_rho(params, h_sq, terms=terms, out=out, scratch=scratch)
     raise TypeError(f"unknown policy type: {policy!r}")
 
 

@@ -10,17 +10,18 @@ operating point share the same channel draws (common random numbers), which
 sharpens gain and dominance comparisons.
 
 Both kernels draw each batch in full and then evaluate it in one slice loop
-(_slices), in slices of CHUNK draws, or of POOL_CHUNK on a pool's threads,
-where numpy's loops, which release the GIL, must dominate. Slicing does not
-change results: the per-draw math is elementwise IEEE arithmetic, and every
-sum runs over the full batch. In the Monte Carlo kernel a conservative screen
-picks, per slice, the draws that get the exact outage test, snr() < gamma_0,
-which runs once on the batch's picks; every other draw is provably not in
-outage under any policy, so no count depends on the screen (see _mc_batch).
-The semi-analytic kernel writes each draw's g-averaged outage per slice. The
+(_slices), in slices of CHUNK draws on every thread. Slicing does not change
+results: the per-draw math is elementwise IEEE arithmetic, and every sum runs
+over the full batch. In the Monte Carlo kernel a conservative screen picks,
+per slice, the draws that get the exact outage test, snr() < gamma_0, which
+runs once on the batch's picks; every other draw is provably not in outage
+under any policy, so no count depends on the screen (see _mc_batch). The
+semi-analytic kernel writes each draw's g-averaged outage per slice. The
 batch-sized arrays (the gains, each dynamic rho and the semi-analytic outage)
-are rows of a workspace that each thread keeps and reuses, so a warm batch of
-either kernel allocates nothing batch-sized; no result depends on it.
+and the slice-sized scratch are rows of a workspace that each thread keeps
+and reuses. Every per-slice array operation, in the closed forms of link and
+policy as in the screen, writes into those rows with out=, so a warm batch of
+either kernel allocates nothing slice-sized; no result depends on it.
 """
 from __future__ import annotations
 
@@ -60,10 +61,11 @@ __all__ = [
 # changes which substream produces which draw).
 BATCH_SIZE = 1 << 19
 
-# Draws per slice in _slices; no result depends on them. 2^13-draw temporaries
-# stay below glibc's 128 KiB mmap threshold (at 2^15 a fresh process refaulted
-# ~29,000 pages per n = 1e7 point); pool threads need 2^15 to overlap in numpy.
-CHUNK, POOL_CHUNK = 1 << 13, 1 << 15
+# Draws per slice in _slices, on every thread; no result depends on it. The
+# loop allocates nothing per slice, so longer slices only cut the per-call
+# overhead that threads pay holding the GIL: of 2^13, 2^14 and 2^15, 2^15 ran
+# fastest both serially and on two threads.
+CHUNK = 1 << 15
 
 EXACT_NODES = 24  # Gauss-Legendre nodes per outage_exact panel; 32 moves it < 5e-13
 
@@ -151,11 +153,12 @@ def _mc_batch(args):
 
     So every count equals the unscreened test's. _slices still computes every
     dynamic rho on every draw, for the rho sum and n_tx, and a Fixed rho0's
-    sum is cached per (rho0, size).
+    sum is cached per (rho0, size). The screen writes into workspace rows, as
+    _slices does.
     """
     params, fading, policies, seed, key, batch_idx, size = args
     dynamic = [pol for pol in policies if not isinstance(pol, Fixed)]
-    h_sq, g_sq, *rows = _workspace(2 + len(dynamic), size)
+    h_sq, g_sq, *rows = _workspace("batch", 2 + len(dynamic), size)
     h_sq, g_sq = sample_channels(substream(seed, *key, batch_idx), fading, size,
                                  out=(h_sq, g_sq))
     k_p = params.gamma_0 * params.sigma_p_sq
@@ -165,8 +168,14 @@ def _mc_batch(args):
     a_min = max(2.0 * k_p / (1.0 - r) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     k_min = max(2.0 * k_d / (r * (1.0 - r)) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     cand, n_tx = [], [0] * len(dynamic)
-    for s, a, q in _slices(params, h_sq, g_sq, dynamic, rows, n_tx):
-        cand.append(np.flatnonzero((a < a_min) | (g_sq[s] * a < k_min * (1.0 + q))) + s.start)
+    floats, bools = _workspace("slice", 4, CHUNK), _workspace("mask", 2, CHUNK, bool)
+    for s, (a, q, ga, bound), (low, kept) in _slices(params, h_sq, g_sq, dynamic, rows, n_tx,
+                                                     floats, bools):
+        np.less(np.multiply(g_sq[s], a, out=ga),
+                np.multiply(k_min, np.add(1.0, q, out=bound), out=bound), out=kept)
+        idx = np.flatnonzero(np.logical_or(np.less(a, a_min, out=low), kept, out=kept))
+        idx += s.start
+        cand.append(idx)
     # The exact test, once on all the batch's candidates. A harvest-only
     # draw's zeroed rho gives snr = 0, so it is in outage, as at rho = 1.
     cand = np.concatenate(cand)
@@ -186,12 +195,15 @@ def _mc_batch(args):
 _local = threading.local()
 
 
-def _workspace(count, size):
-    """count float arrays of size elements: rows of this thread's workspace,
-    which grows to the largest (count, size) asked for and is then reused."""
-    ws = getattr(_local, "workspace", np.empty((0, 0)))
+def _workspace(name, count, size, dtype=float):
+    """count arrays of size elements of dtype: rows of this thread's workspace
+    `name`, which grows to the largest (count, size) asked for and is then
+    reused. The batch rows and the slice scratch rows are separate workspaces,
+    so that the scratch takes CHUNK elements per row, not a batch."""
+    ws = getattr(_local, name, np.empty((0, 0), dtype))
     if ws.shape[0] < count or ws.shape[1] < size:
-        ws = _local.workspace = np.empty(np.maximum(ws.shape, (count, size)))
+        ws = np.empty(np.maximum(ws.shape, (count, size)), dtype)
+        setattr(_local, name, ws)
     return list(ws[:count, :size])
 
 
@@ -201,24 +213,28 @@ def _fixed_rho_sum(rho0, size):
     return float(np.sum(np.broadcast_to(rho0, size)))
 
 
-def _slices(params, h_sq, g_sq, policies, rows, n_tx):
-    """The slice loop of both kernels. Per slice s of this thread's chunk
-    length, writes policy j's rho over s into rows[j], zeroed where the relay
-    only harvests (so a row's np.sum is the rho sum), adds the slice's
-    transmitting draws to n_tx[j], and yields (s, a, q), with (a, q) the
-    margin terms of h_sq[s]. g_sq is None when no policy reads |g|^2."""
-    chunk = getattr(_local, "chunk", CHUNK)
-    for lo in range(0, len(h_sq), chunk):
-        s = slice(lo, lo + chunk)
+def _slices(params, h_sq, g_sq, policies, rows, n_tx, floats, bools):
+    """The slice loop of both kernels. Per slice s of CHUNK draws, writes
+    policy j's rho over s into rows[j], zeroed where the relay only harvests
+    (so a row's np.sum is the rho sum), adds the slice's transmitting draws to
+    n_tx[j], and yields (s, floats, bools) sliced to len(s) elements. floats
+    (a, q, f, ...) and bools (mask, ...) are scratch rows at least that long:
+    (a, q) hold the margin terms of h_sq[s], and the rest are free for the
+    caller until the next slice. g_sq is None when no policy reads |g|^2.
+    Every array operation writes into these rows, so none allocates."""
+    for lo in range(0, len(h_sq), CHUNK):
+        s = slice(lo, lo + CHUNK)
         h, g = h_sq[s], None if g_sq is None else g_sq[s]
-        a, q = margin_terms(params, h)
+        (a, q, f, *_), (mask, *_) = views = ([row[:len(h)] for row in floats],
+                                             [row[:len(h)] for row in bools])
+        terms = margin_terms(params, h, out=(a, q))
         for j, pol in enumerate(policies):
-            rho = rows[j][s]
-            rho[...] = decide_rho(pol, params, h, g, terms=(a, q))
-            transmitting = rho < 1.0
-            n_tx[j] += int(np.count_nonzero(transmitting))
-            rho[~transmitting] = 0.0
-        yield s, a, q
+            rho = decide_rho(pol, params, h, g, terms=terms, out=rows[j][s], scratch=(f, mask))
+            tx = int(np.count_nonzero(np.less(rho, 1.0, out=mask)))
+            n_tx[j] += tx
+            if tx < len(h):
+                np.copyto(rho, 0.0, where=np.logical_not(mask, out=mask))
+        yield (s, *views)
 
 
 def _sa_batch(args):
@@ -227,11 +243,13 @@ def _sa_batch(args):
     layout. A harvest-only draw's zeroed rho is infeasible, so its p is 1, as
     at rho = 1. h, rho and p are workspace rows; every sum is batch-wide."""
     params, fading, (policy,), seed, key, batch_idx, size = args
-    h_sq, rho, p = _workspace(3, size)
+    h_sq, rho, p = _workspace("batch", 3, size)
     sample_gains(substream(seed, *key, batch_idx), fading.lambda_h, size, out=h_sq)
     n_tx = [0]
-    for s, a, q in _slices(params, h_sq, None, [policy], [rho], n_tx):
-        p[s] = conditional_outage(params, h_sq[s], rho[s], fading.lambda_g, terms=(a, q))
+    floats, bools = _workspace("slice", 3, CHUNK), _workspace("mask", 1, CHUNK, bool)
+    for s, (a, q, f), (mask,) in _slices(params, h_sq, None, [policy], [rho], n_tx, floats, bools):
+        conditional_outage(params, h_sq[s], rho[s], fading.lambda_g, terms=(a, q), out=p[s],
+                           scratch=(f, mask))
     p_sum = float(np.sum(p))
     return [(p_sum, float(np.sum(np.square(p, out=p))), float(np.sum(rho)), n_tx[0])]
 
@@ -252,8 +270,7 @@ def _map_batches(fn, points, n, seed, workers):
     else:
         from concurrent.futures import ThreadPoolExecutor  # not needed at start-up
         # ex.map returns results in submission order: the split below ignores scheduling.
-        with ThreadPoolExecutor(workers, initializer=setattr,  # each thread slices at POOL_CHUNK
-                                initargs=(_local, "chunk", POOL_CHUNK)) as ex:
+        with ThreadPoolExecutor(workers) as ex:
             results = list(ex.map(fn, args))
     return [results[i:i + count] for i in range(0, len(results), count)]
 

@@ -265,6 +265,63 @@ class TestDecideRho:
             assert_same_bits(sigma0_sq, params, h, rho)
             assert_same_bits(conditional_outage, params, h, rho, lambda_g)
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(p_s_dbm=st.floats(20.0, 55.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),
+           epsilon=st.floats(0.1, 1.0), rate=st.floats(0.5, 4.0), lambda_g=st.floats(0.1, 10.0),
+           channel=st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 10.0)),
+                            min_size=1, max_size=32),
+           above_h0=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(p_s_dbm=40.0, noise_dbm=(-20.0, -20.0, -17.0), epsilon=1.0, rate=3.0, lambda_g=1.5,
+             channel=[(0.0, 0.0), (1.0, 5e-324), (0.5, 1.0), (2.0, 1e-300)], above_h0=False,
+             seed=0)
+    def test_out_and_scratch_change_no_bit(self, p_s_dbm, noise_dbm, epsilon, rate, lambda_g,
+                                           channel, above_h0, seed):
+        """Each closed form called with out= returns out, bit-equal to the call
+        without it, also when out and the scratch rows hold garbage from an
+        earlier slice. |h|^2 = H0 x with x in [0, 1e4] takes in harvest-only draws,
+        a <= 0 (x = 0) and |h|^2 = H0 exactly; above_h0 shifts x past 1, so that
+        no draw harvests only. |g|^2 reaches 0."""
+        params = params_at(p_s_dbm, noise_dbm, epsilon, rate)
+        x, g = np.array(channel).T
+        h = h_threshold(params) * (1.0 + x if above_h0 else x)
+        n, rng = len(h), np.random.default_rng(seed)
+        # the rows are longer than the slice and hold garbage: specials and
+        # huge values, and over their first half what an earlier slice left
+        rows = rng.choice([np.nan, np.inf, -np.inf, -1e308, 0.0, 1.0], size=(4, n + 3))
+        mask = rng.random(n + 3) < 0.5
+        half = (n + 3) // 2
+        earlier = h_threshold(params) * 10.0 ** rng.uniform(-2.0, 2.0, half)
+        conditional_outage(params, earlier, partial_csi_rho(params, earlier), lambda_g,
+                           terms=margin_terms(params, earlier, out=(rows[0, :half], rows[1, :half])),
+                           out=rows[2, :half], scratch=(rows[3, :half], mask[:half]))
+        junk, junk_mask = rows.copy(), mask.copy()
+        a, q, out, t = (row[:n] for row in rows)
+        scratch = (t, mask[:n])
+
+        def assert_writes_out(fn, *args, **kwargs):
+            """fn(*args) into out, with out and scratch as the earlier slice left them."""
+            rows[2:], mask[:] = junk[2:], junk_mask
+            got = fn(*args, **kwargs, out=out)
+            assert got is out
+            assert got.tobytes() == np.asarray(fn(*args)).tobytes()
+
+        terms = margin_terms(params, h, out=(a, q))
+        assert terms[0] is a and terms[1] is q
+        for got, expected in zip(terms, margin_terms(params, h)):
+            assert got.tobytes() == np.asarray(expected).tobytes()
+        rules = [(full_csi_rho, (params, h, g)), (partial_csi_rho, (params, h))]
+        rules += [(decide_rho, (pol, params, h, g)) for pol in (FullCSI(), PartialCSI(), Fixed(0.5))]
+        for fn, args in rules:
+            assert_writes_out(fn, *args, scratch=scratch)
+            assert_writes_out(fn, *args, terms=terms, scratch=scratch)
+        # the kernels zero a harvest-only rho; conditional_outage sees F <= 0 there
+        zeroed = np.where(partial_csi_rho(params, h) < 1.0, partial_csi_rho(params, h), 0.0)
+        for rho in (full_csi_rho(params, h, g), zeroed, 0.5):
+            assert_writes_out(f_of_rho, params, h, rho, terms=terms)
+            assert_writes_out(sigma0_sq, params, h, rho, terms=terms)
+            assert_writes_out(conditional_outage, params, h, rho, lambda_g, terms=terms,
+                              scratch=scratch)
+
 
 class TestOracles:
     def test_grid_step_precondition(self, ref_params):
@@ -279,6 +336,21 @@ class TestOracles:
         assert policy._rho_grid(1e-4) is grid
         assert not grid.flags.writeable
         assert grid.size == 9999 and grid[0] == 1e-4 and grid[-1] == 1.0 - 1e-4
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-3])
+    def test_ties_go_to_the_smaller_rho(self, step):
+        """A V-shaped loss |k - c| over the grid index k, with c halfway between
+        two indices, ties exactly at both; the search must pick the lower one,
+        at every position of the pair, the grid's ends included."""
+        grid = policy._rho_grid(step)
+
+        def loss(rho, c):
+            return np.abs(np.round(rho / step) - 1.0 - c)  # rho_k = (k + 1) step
+
+        lower = np.arange(grid.size - 1)
+        rho, at = policy._grid_argmin(loss, step, lower + 0.5)
+        assert rho.tolist() == grid[lower].tolist()
+        assert np.all(at == 0.5)
 
     def test_full_oracle_finds_half_when_a1_zero(self, ref_params):
         g_sq = ref_params.sigma_d_sq / ref_params.sigma_p_sq
