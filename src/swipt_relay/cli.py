@@ -171,6 +171,8 @@ def _parse(args):
         out, gains_out = None, out
     elif args.command == "sweep" and cfg.get("gains_out") is not None:
         gains_out = _out_path(cfg["gains_out"])
+        if os.path.realpath(gains_out) == os.path.realpath(out):
+            raise ConfigError(f"gains_out {gains_out} is the same file as the output {out}")
     if gains_out is not None:
         names = {policy_name(p) for p in spec.policies}
         missing = [p for p in (GAIN_BASELINE,) + GAIN_POLICIES if p not in names]
@@ -205,9 +207,11 @@ def _gain_rows(sweep_rows):
 
 
 def cmd_sweep(args) -> int:
-    """`sweep` and `gains`: run the sweep, then write the tables _parse named."""
+    """`sweep` and `gains`: run the sweep and compute both tables, then write
+    the ones _parse named, so a command that fails writes neither."""
     cfg, spec, out, gains_out = _parse(args)
     rows = run_sweep(spec, workers=args.workers)
+    gain_rows = None if gains_out is None else _gain_rows(rows)
     provenance = _provenance(cfg, spec.seed, spec.n)
     if out is not None:
         _write_csv(out, provenance, SWEEP_HEADER, [
@@ -216,7 +220,7 @@ def cmd_sweep(args) -> int:
         ])
         print(f"wrote {out} ({len(rows)} rows)")
     if gains_out is not None:
-        _write_csv(gains_out, provenance, GAINS_HEADER, _gain_rows(rows))
+        _write_csv(gains_out, provenance, GAINS_HEADER, gain_rows)
         print(f"wrote {gains_out}")
     return EXIT_OK
 

@@ -9,17 +9,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 
 class ConfigError(ValueError):
     """A config value is missing, malformed, or out of range."""
 
 
-def dbm_to_linear(x_dbm: float) -> float:
-    """Convert dBm to linear milliwatts: 10^(x/10), for |x| <= 3000 dBm only."""
-    if not abs(x_dbm) <= 3000.0:
-        raise ConfigError(f"dBm value out of range [-3000, 3000]: {x_dbm!r}")
-    return 10.0 ** (x_dbm / 10.0)
+def dbm_to_linear(x_dbm):
+    """Convert dBm to linear milliwatts: 10^(x/10), for |x| <= 3000 dBm only. A float
+    gives a float and an array an array of its shape, each value through the C pow
+    as 10.0 ** (x / 10.0) takes it (np.power misses that last bit on 1 value in 20)."""
+    x = np.asarray(x_dbm, dtype=float)
+    outside = ~(np.abs(x) <= 3000.0)  # NaN too
+    if outside.any():
+        raise ConfigError(f"dBm value out of range [-3000, 3000]: {float(x[outside][0])!r}")
+    linear = np.fromiter(map(math.pow, repeat(10.0), (x / 10.0).ravel().tolist()), float, x.size)
+    return linear.reshape(x.shape) if x.ndim else float(linear[0])
 
 
 @dataclass(frozen=True)

@@ -263,16 +263,20 @@ def _map_batches(fn, points, n, seed, workers):
     count = -(-n // BATCH_SIZE)
     args = (head + (seed, tuple(key), b, min(BATCH_SIZE, n - b * BATCH_SIZE))
             for head, key in points for b in range(count))
-    # More threads than cores or batches would only add start-up cost.
-    workers = min(workers, os.cpu_count() or 1, count * len(points))
-    if workers <= 1:
-        results = [fn(a) for a in args]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # not needed at start-up
-        # ex.map returns results in submission order: the split below ignores scheduling.
-        with ThreadPoolExecutor(workers) as ex:
-            results = list(ex.map(fn, args))
+    results = thread_map(fn, args, min(workers, count * len(points)))
     return [results[i:i + count] for i in range(0, len(results), count)]
+
+
+def thread_map(fn, items, workers):
+    """[fn(x) for x in items], in item order however the threads are scheduled,
+    on min(workers, os.cpu_count()) threads of this process or on the calling
+    thread if that is one; the first failed item's error is re-raised."""
+    workers = min(workers, os.cpu_count() or 1)  # more threads than cores: only start-up cost
+    if workers <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # not needed at start-up
+    with ThreadPoolExecutor(workers) as ex:
+        return list(ex.map(fn, items))
 
 
 def __getattr__(name):

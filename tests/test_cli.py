@@ -81,6 +81,8 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     ("gains", {"sweep": LAMBDA_G_SWEEP, "policies": LOSSY_06}),
     ("point", {"argv": ["--out", "."]}),
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "."}),
+    ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "out.csv"}),
+    ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "no-such-dir/../out.csv"}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -89,6 +91,7 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     "json-invalid", "json-array", "policies-missing", "policies-empty", "policies-not-list",
     "sweep-missing", "sweep-variable-missing", "sweep-variable-unknown", "values-decreasing",
     "n-missing", "gains-rho0-not-0.6", "out-flag-directory", "gains_out-directory",
+    "gains_out-is-out", "gains_out-is-out-spelled-differently",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing
@@ -127,6 +130,16 @@ def test_a_failed_csv_write_leaves_the_target_and_no_temporary(tmp_path):
         cli._write_csv(str(target), ["seed=1"], "a,b", rows())
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_a_sweep_whose_gains_fail_writes_neither_table(tmp_path, monkeypatch, capsys):
+    # at n = 1000 some fixed:0.4 estimate is 0, so gain_eta refuses it after the
+    # sweep has run; the shipped config names sweep.csv and gains.csv
+    monkeypatch.chdir(tmp_path)
+    config = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
+    assert main(["sweep", "--config", str(config), "--n", "1000"]) == EXIT_RUNTIME
+    assert "insufficient resolution" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runtime_error_names_its_type(tmp_path, monkeypatch, capsys):
@@ -312,6 +325,19 @@ class TestVerify:
             value, unit = ln.split(": ")[1].split()
             assert float(value) >= 0.0 and unit == "s"
         assert "time " not in captured.out
+
+    def test_a_battery_that_raises_exits_3(self, monkeypatch, capsys):
+        # the batteries run on pool threads; the error still reaches main
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+        def broken(**kwargs):
+            raise RuntimeError("battery broke")
+
+        monkeypatch.setattr(verify, "battery_snr_identity", broken)
+        assert main(["verify", "--quick"]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RuntimeError: battery broke\n"
 
     def test_fault_injection_fails(self, monkeypatch, capsys):
         # a full-CSI rule 0.05 off the optimum must fail its battery; the

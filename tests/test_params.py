@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from swipt_relay import verify
 from swipt_relay.params import (
     ConfigError,
     SystemParams,
@@ -37,6 +40,57 @@ class TestDbmConversion:
         # dbm_to_linear inverts x -> 10*log10(x) over twelve decades
         for x in np.logspace(-6, 6, 200):
             assert dbm_to_linear(10.0 * np.log10(x)) == pytest.approx(x, rel=1e-12)
+
+
+def _literal(values):
+    """10.0 ** (x / 10.0) value by value: the conversion's defining expression."""
+    return [10.0 ** (x / 10.0) for x in values]
+
+
+class TestDbmArrays:
+    def test_equals_the_literal_power_bit_for_bit(self):
+        # np.power(10.0, x / 10.0) differs from these in the last bit on about
+        # one value in twenty
+        x = np.concatenate([np.random.default_rng(25).uniform(-3000.0, 3000.0, 100_000),
+                            np.arange(-3000.0, 3000.5, 0.5), [-0.0, 5e-324, -5e-324]])
+        assert dbm_to_linear(x).tolist() == _literal(x.tolist())
+
+    def test_equals_the_literal_power_on_every_battery_draw(self, monkeypatch):
+        seen = []
+
+        def recording(x):
+            linear = dbm_to_linear(x)
+            seen.append((np.ravel(x).tolist(), np.ravel(linear).tolist()))
+            return linear
+
+        monkeypatch.setattr(verify, "dbm_to_linear", recording)
+        assert all(r.passed for r in verify.run_all())
+        dbm = [v for x, _ in seen for v in x]
+        assert len(dbm) >= 84_000  # four columns of 10,000 + 10,000 + 1,000 draws
+        assert [v for _, linear in seen for v in linear] == _literal(dbm)
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (3, 4), (2, 1, 5)])
+    def test_keeps_the_shape(self, shape):
+        x = np.linspace(-50.0, 50.0, int(np.prod(shape))).reshape(shape)
+        linear = dbm_to_linear(x)
+        assert isinstance(linear, np.ndarray) and linear.shape == shape
+        assert linear.ravel().tolist() == _literal(x.ravel().tolist())
+
+    @pytest.mark.parametrize("x", [0.0, -17.0, 40, 3000.0, np.float64(-12.3)])
+    def test_a_number_gives_a_float(self, x):
+        linear = dbm_to_linear(x)
+        assert type(linear) is float
+        assert linear == 10.0 ** (float(x) / 10.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     3000.0000000000005, -3000.0000000000005, 1e308])
+    @pytest.mark.parametrize("at", [0, 57, 99])
+    def test_one_bad_element_raises(self, bad, at):
+        x = np.linspace(-3000.0, 3000.0, 100)
+        x[at] = bad
+        for shaped in (x, x.reshape(10, 10)):
+            with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+                dbm_to_linear(shaped)
 
 
 class TestSnrThreshold:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from operator import attrgetter
 from pathlib import Path
 
@@ -272,3 +273,54 @@ def test_a_fresh_partial_battery_does_not_refault_its_blocks():
     passed, faults = proc.stdout.split()
     assert passed == "True"
     assert int(faults) < 50_000
+
+
+BATTERIES = ("battery_full_csi", "battery_partial_csi", "battery_snr_identity",
+             "battery_estimator_cross_check")
+
+
+def _within(seconds, fn):
+    """fn() on a daemon thread: its result, its error, or a failure after seconds."""
+    box = []
+
+    def run():
+        try:
+            box.append((fn(), None))
+        except BaseException as e:  # noqa: BLE001 - re-raised below
+            box.append((None, e))
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert box, f"no result within {seconds} s"
+    result, error = box[0]
+    if error is not None:
+        raise error
+    return result
+
+
+def test_threaded_batteries_equal_a_serial_run(monkeypatch):
+    ran_on = []  # the thread of each battery call
+    for name in BATTERIES:
+        def recorded(*args, _battery=getattr(verify, name), **kwargs):
+            ran_on.append(threading.current_thread())
+            return _battery(*args, **kwargs)
+        monkeypatch.setattr(verify, name, recorded)
+
+    def lines(cpus, repeats):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return [[(r.name, r.passed, r.detail) for r in verify.run_all(quick=True)]
+                for _ in range(repeats)]
+
+    [serial] = lines(1, 1)
+    assert ran_on == [threading.main_thread()] * 4
+    ran_on.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # 4 threads, likely more than cores, switching at every chance
+    try:
+        threaded = _within(120, lambda: lines(8, 3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == [serial] * 3
+    assert len(ran_on) == 12
+    assert all(t.name.startswith("ThreadPoolExecutor") for t in ran_on)
