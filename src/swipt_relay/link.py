@@ -36,7 +36,9 @@ is returned, and where they need intermediates, scratch=, a (float, bool)
 pair of such arrays whose contents they overwrite. Every operation then
 writes into these and is the plain expression's, up to the order of the
 operands of a + or a *, which IEEE arithmetic ignores, so the bits do not
-depend on them; out must not be an input.
+depend on them; out must not be an input. conditional_outage and
+policy.partial_csi_rho run their closed form on every draw, then write
+p = 1 or rho = 1 over the draws where F > 0 or |h|^2 > H0 is false.
 """
 from __future__ import annotations
 
@@ -145,23 +147,20 @@ def conditional_outage(params, h_sq, rho, lambda_g, *, terms=None, out=None, scr
     """Outage probability given |h|^2 and rho, averaged over the exponential g.
 
     For feasible rho (F(rho) > 0) this is 1 - exp(-gamma_0*sigma_0^2/(F*lambda_g));
-    for infeasible rho (including rho = 1) the outage is certain and the value
-    is exactly 1.
+    for infeasible rho (including rho = 1, and a NaN F) the outage is certain:
+    the expression runs on every draw and 1 is written over these.
     """
     if terms is None:
         terms = margin_terms(params, h_sq)
     p = np.empty(np.broadcast(rho, *terms).shape) if out is None else out
     f, mask = (np.empty_like(p), np.empty(p.shape, bool)) if scratch is None else scratch
     f = f_of_rho(params, h_sq, rho, terms=terms, out=f)
+    infeasible = np.logical_not(np.greater(f, 0.0, out=mask), out=mask)  # NaN F too
     s0 = sigma0_sq(params, h_sq, rho, terms=terms, out=p)
-    everywhere = np.greater(f, 0.0, out=mask).all()
-    if not everywhere:  # divide by 1 where F <= 0; p is set to 1 there below
-        infeasible = np.logical_not(mask, out=mask)
-        np.copyto(f, 1.0, where=infeasible)
-    with np.errstate(over="ignore", divide="ignore"):  # subnormal F: p is exactly 1
+    with np.errstate(over="ignore", divide="ignore"):  # F <= 0 (p = 1 there below) or subnormal
         p = np.divide(np.multiply(-params.gamma_0, s0, out=p),
                       np.multiply(f, lambda_g, out=f), out=p)
         p = np.negative(np.expm1(p, out=p), out=p)
-    if not everywhere:
+    if infeasible.any():
         np.copyto(p, 1.0, where=infeasible)
     return float(p) if p.ndim == 0 else p

@@ -46,8 +46,8 @@ class SystemParams:
                 raise ConfigError(f"{name} must be a positive finite power, got {v!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError(f"epsilon out of range (0, 1]: {self.epsilon!r}")
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ConfigError(f"rate must be positive and finite, got {self.rate!r}")
+        if not (self.rate < 1024.0 and self.gamma_0 > 0.0):  # 2.0 ** 1024 overflows, NaN fails
+            raise ConfigError(f"rate must give 0 < gamma_0 = 2^rate - 1 < inf, got {self.rate!r}")
 
     @property
     def gamma_0(self) -> float:

@@ -23,7 +23,6 @@ a bisection over grid indices finds it for all instances at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -108,24 +107,21 @@ def full_csi_rho(params, h_sq, g_sq, *, terms=None, out=None, scratch=None):
 def partial_csi_rho(params, h_sq, *, terms=None, out=None, scratch=None):
     """Outage-minimizing rho given |h|^2 only, the maximizer of
     F(rho)/sigma_0^2(rho): rho = (1 + q) - sqrt((1 + q)*(q + gamma_0 sp^2/a)),
-    or 1 (harvest only) at or below the feasibility threshold H0. Broadcasts;
-    terms, out and scratch as in full_csi_rho."""
+    or 1 (harvest only) at or below the feasibility threshold H0: the expression
+    runs on every draw and 1 is written over those where |h|^2 > H0 is false
+    (NaN too). Broadcasts; terms, out and scratch as in full_csi_rho."""
     h_sq = np.asarray(h_sq, dtype=float)
     a, q = margin_terms(params, h_sq) if terms is None else terms
     rho = np.empty(np.broadcast(a, q).shape) if out is None else out
     p1q, mask = (np.empty_like(rho), np.empty(rho.shape, bool)) if scratch is None else scratch
-    c = params.gamma_0 * params.sigma_p_sq
-    everywhere = np.greater(h_sq, h_threshold(params), out=mask).all()
-    if everywhere:
-        np.divide(c, a, out=rho)
-    else:  # a > 0 only above H0: divide by 1 elsewhere, and set rho = 1 there below
-        np.copyto(rho, c)
-        np.divide(c, a, out=rho, where=mask)
-    np.add(1.0, q, out=p1q)
-    np.multiply(p1q, np.add(q, rho, out=rho), out=rho)
-    np.subtract(p1q, np.sqrt(rho, out=rho), out=rho)
-    if not everywhere:
-        np.copyto(rho, 1.0, where=np.logical_not(mask, out=mask))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a <= 0, below H0
+        np.divide(params.gamma_0 * params.sigma_p_sq, a, out=rho)
+        np.add(1.0, q, out=p1q)
+        np.multiply(p1q, np.add(q, rho, out=rho), out=rho)
+        np.subtract(p1q, np.sqrt(rho, out=rho), out=rho)
+    harvest = np.logical_not(np.greater(h_sq, h_threshold(params), out=mask), out=mask)  # NaN too
+    if harvest.any():
+        np.copyto(rho, 1.0, where=harvest)
     return rho
 
 
@@ -143,14 +139,11 @@ def decide_rho(policy: Policy, params, h_sq, g_sq, *, terms=None, out=None, scra
     raise TypeError(f"unknown policy type: {policy!r}")
 
 
-@lru_cache(maxsize=4)
 def _rho_grid(step: float) -> np.ndarray:
-    """The oracles' read-only uniform rho grid, built once per step."""
+    """The oracles' uniform rho grid, strictly inside (0, 1)."""
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"grid step must be in (0, 1e-3], got {step!r}")
-    rho = np.linspace(step, 1.0 - step, round(1.0 / step) - 1)
-    rho.flags.writeable = False
-    return rho
+    return np.linspace(step, 1.0 - step, round(1.0 / step) - 1)
 
 
 def _grid_argmin(loss, step, *coef):

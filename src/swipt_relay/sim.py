@@ -354,7 +354,7 @@ def outage_exact(params, fading, policy) -> float:
     half = 0.5 * np.diff(edges)[:, None]  # one panel per row; edges are offsets from h_c
     h, w = (h_c + edges[:-1, None] + half * (1.0 + t)).ravel(), (half * w).ravel()
     p = conditional_outage(params, h, decide_rho(policy, params, h, None), fading.lambda_g)
-    return -math.expm1(-h_c / lam) + float(np.sum(w * np.exp(-h / lam) * p)) / lam
+    return min(1.0, -math.expm1(-h_c / lam) + float(np.sum(w * np.exp(-h / lam) * p)) / lam)
 
 
 def gain_eta(p_out_x: float, p_out_ref: float) -> float:

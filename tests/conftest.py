@@ -1,4 +1,5 @@
 import importlib
+import os
 import sys
 from pathlib import Path
 
@@ -16,6 +17,19 @@ def size_line():
     """The size of the package, the design metric each change reports."""
     lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
     return f"src/swipt_relay/*.py: {lines} lines (wc -l)"
+
+
+def package_env():
+    """The environment with src/ first on PYTHONPATH, for a subprocess that
+    imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def textbook_rho_max(p, h_sq, gamma_0):
+    """Root of F(rho) = rho*((1 - rho)*(P_s h^2 - gamma_0 sr^2) - gamma_0 sp^2) above zero."""
+    return 1.0 - gamma_0 * p.sigma_p_sq / (p.p_s * h_sq - gamma_0 * p.sigma_r_sq)
 
 
 def pytest_report_header(config):

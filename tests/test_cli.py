@@ -2,11 +2,11 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import ROOT, package_env
 from swipt_relay import cli, policy, verify
 from swipt_relay.cli import (
     EXIT_CONFIG,
@@ -83,6 +83,10 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "."}),
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "out.csv"}),
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "no-such-dir/../out.csv"}),
+    ("sweep", {"sweep": LAMBDA_G_SWEEP, "argv": ["--workers", "two"]}),
+    ("point", {"argv": ["--n", "1e3"]}),
+    ("point", {"rate_bps_hz": 1024}),
+    ("point", {"rate_bps_hz": 1e-17}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -91,7 +95,8 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     "json-invalid", "json-array", "policies-missing", "policies-empty", "policies-not-list",
     "sweep-missing", "sweep-variable-missing", "sweep-variable-unknown", "values-decreasing",
     "n-missing", "gains-rho0-not-0.6", "out-flag-directory", "gains_out-directory",
-    "gains_out-is-out", "gains_out-is-out-spelled-differently",
+    "gains_out-is-out", "gains_out-is-out-spelled-differently", "workers-not-int",
+    "n-not-int", "rate-overflows-gamma_0", "rate-gives-gamma_0-zero",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing
@@ -136,7 +141,7 @@ def test_a_sweep_whose_gains_fail_writes_neither_table(tmp_path, monkeypatch, ca
     # at n = 1000 some fixed:0.4 estimate is 0, so gain_eta refuses it after the
     # sweep has run; the shipped config names sweep.csv and gains.csv
     monkeypatch.chdir(tmp_path)
-    config = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
+    config = ROOT / "demos" / "config.example.json"
     assert main(["sweep", "--config", str(config), "--n", "1000"]) == EXIT_RUNTIME
     assert "insufficient resolution" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -168,11 +173,8 @@ print(code, loaded, sim.ProcessPoolExecutor is concurrent.futures.ProcessPoolExe
 
 
 def test_a_fresh_cli_imports_neither_pool_nor_verify():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", FRESH_SWEEP, str(root / "demos/config.example.json")],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", FRESH_SWEEP, str(ROOT / "demos/config.example.json")],
+                          env=package_env(), capture_output=True, text=True, timeout=60)
     assert proc.stdout == f"{EXIT_CONFIG} [] True\n"
 
 

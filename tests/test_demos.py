@@ -3,25 +3,18 @@ CLI sweep of the benchmark config and the CLI point of the example config
 reproduce their recorded CSV bytes."""
 import hashlib
 import json
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, package_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # sha256 of `cli point --config demos/config.example.json` at its own seed.
 POINT_CSV_SHA256 = "6a5361ed53d7d3f507bf69de0e2f658ddcab02a001febf5c12f6f4ac260f4a70"
-
-
-def package_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 def test_three_demos_found():

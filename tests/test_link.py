@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import k1
 
+from conftest import textbook_rho_max
 from swipt_relay import policy, verify
 from swipt_relay.channel import FadingParams, sample_gains, substream
 from swipt_relay.link import (
@@ -31,11 +32,6 @@ EPS = np.finfo(float).eps
 # -20/-20/-17 dBm, h_sq=g_sq=1.5, rho=0.5), confirmed by independent hand
 # arithmetic on both algebraic SNR forms.
 SNR_AT_HALF = 265001.12632334145
-
-
-def textbook_rho_max(p, h_sq, gamma_0):
-    """Root of F(rho) = rho*((1 - rho)*(P_s h^2 - gamma_0 sr^2) - gamma_0 sp^2) above zero."""
-    return 1.0 - gamma_0 * p.sigma_p_sq / (p.p_s * h_sq - gamma_0 * p.sigma_r_sq)
 
 
 def random_params(rng):
@@ -257,6 +253,36 @@ class TestConditionalOutage:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert conditional_outage(ref_params, 1.5, 5e-324, lambda_g) == 1.0
+
+    @pytest.mark.parametrize("into_rows", [False, True], ids=["allocating", "out-scratch"])
+    def test_one_path_at_the_feasibility_edges(self, ref_params, into_rows):
+        """Where F > 0 each draw gets 1 - exp(-gamma_0 sigma_0^2/(F lambda_g)) on its
+        own operands; where F < 0, F = 0 (rho = 0), rho = 1 or F is NaN, p = 1. A
+        subnormal F is feasible and its exponent overflows to p = 1. Nothing warns."""
+        p, lambda_g = ref_params, 1.5
+        rho = np.array([0.1, 0.5, 0.99, 5e-324,  # F > 0
+                        -0.5, 0.999999, 0.0, 1.0, np.nan, 0.5])
+        h = np.full(rho.size, 1.5)
+        h[-1] = np.nan
+
+        def exponent(h, rho):  # -gamma_0 sigma_0^2/(F lambda_g) on one draw, or None if F <= 0
+            a, q = p.p_s * h - p.gamma_0 * p.sigma_r_sq, p.sigma_p_sq / (p.p_s * h + p.sigma_r_sq)
+            f = rho * ((1.0 - rho) * a - p.gamma_0 * p.sigma_p_sq)
+            return -p.gamma_0 * (p.sigma_d_eff * ((1.0 - rho) + q)) / (f * lambda_g) if f > 0.0 else None
+
+        x = [exponent(*draw) for draw in zip(h.tolist(), rho.tolist())]
+        assert [v is None for v in x] == [False] * 4 + [True] * 6 and x[3] == -math.inf
+        expected = [1.0 if v is None else float(-np.expm1(v)) for v in x]
+        assert 0.0 < max(expected[:3]) < 1.0 and expected[3:] == [1.0] * 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if into_rows:  # rows that hold stale values, as a reused workspace does
+                a, q, f, out = np.full((4, rho.size), np.nan)
+                got = conditional_outage(p, h, rho, lambda_g, terms=margin_terms(p, h, out=(a, q)),
+                                         out=out, scratch=(f, np.ones(rho.size, bool)))
+            else:
+                got = conditional_outage(p, h, rho, lambda_g)
+        assert got.tolist() == expected
 
     def test_certain_below_threshold(self, ref_params):
         h0 = h_threshold(ref_params)

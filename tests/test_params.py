@@ -160,6 +160,13 @@ class TestSystemParamsInvariants:
             SystemParams(p_s=1.0, sigma_r_sq=0.01, sigma_p_sq=0.01,
                          sigma_d_sq=0.02, rate=rate)
 
+    @pytest.mark.parametrize("rate", [1024.0, 1e-17])
+    def test_rate_whose_gamma_0_is_not_positive_finite_rejected(self, rate):
+        # 2.0 ** 1024 overflows, and 2.0 ** 1e-17 - 1 is 0.0
+        with pytest.raises(ConfigError, match="rate"):
+            SystemParams(p_s=1.0, sigma_r_sq=0.01, sigma_p_sq=0.01,
+                         sigma_d_sq=0.02, rate=rate)
+
     def test_immutable(self):
         p = validate(REF_CONFIG)
         with pytest.raises(Exception):

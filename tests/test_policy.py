@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import textbook_rho_max
 from swipt_relay.channel import substream
 from swipt_relay.link import (
     f_of_rho,
@@ -105,11 +107,6 @@ def masked_oracle_partial(params, h_sq, step):
     return float(grid[int(np.argmax(w))])
 
 
-def textbook_rho_max(p, h_sq, gamma_0):
-    """Root of F(rho) = rho*((1 - rho)*(P_s h^2 - gamma_0 sr^2) - gamma_0 sp^2) above zero."""
-    return 1.0 - gamma_0 * p.sigma_p_sq / (p.p_s * h_sq - gamma_0 * p.sigma_r_sq)
-
-
 def textbook_coefficients(params, h_sq, g_sq):
     """(a1, b1, c1) of the full-CSI stationarity quadratic a1 rho^2 + b1 rho + c1 = 0,
     the numerator of dSNR/drho, as written out from snr()'s denominator."""
@@ -175,6 +172,35 @@ class TestPartialCsiClosedForm:
     def test_boundary_assigned_to_harvest(self, ref_params):
         h0 = h_threshold(ref_params)
         assert partial_csi_rho(ref_params, h0) == 1.0
+
+    @pytest.mark.parametrize("into_rows", [False, True], ids=["allocating", "out-scratch"])
+    def test_one_path_at_the_feasibility_edges(self, ref_params, into_rows):
+        """Above H0 each draw gets the closed form evaluated on it alone; at or
+        below H0, with a < 0, a = 0 or a > 0, and at a NaN |h|^2, rho = 1. No
+        draw warns, though the chain runs on all of them."""
+        p = ref_params
+        c, floor, h0 = p.gamma_0 * p.sigma_p_sq, p.gamma_0 * p.sigma_r_sq, h_threshold(p)
+        a_zero = floor / p.p_s
+        assert p.p_s * a_zero - floor == 0.0
+        h = np.array([1.5, 10.0, 1e-4, np.nextafter(h0, np.inf),  # feasible
+                      0.5 * a_zero, a_zero, 0.5 * (a_zero + h0), h0, np.nextafter(h0, -np.inf),
+                      np.nan])
+
+        def plain(h):  # the closed form on one draw, in Python floats
+            a, q = p.p_s * h - floor, p.sigma_p_sq / (p.p_s * h + p.sigma_r_sq)
+            return (1.0 + q) - math.sqrt((1.0 + q) * (q + c / a))
+
+        expected = [plain(x) if x > h0 else 1.0 for x in h.tolist()]
+        assert 1.0 not in expected[:4] and expected[4:] == [1.0] * 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if into_rows:  # rows that hold stale values, as a reused workspace does
+                a, q, f, rho = np.full((4, h.size), np.nan)
+                rho = partial_csi_rho(p, h, terms=margin_terms(p, h, out=(a, q)), out=rho,
+                                      scratch=(f, np.ones(h.size, bool)))
+            else:
+                rho = partial_csi_rho(p, h)
+        assert rho.tolist() == expected
 
     def test_reference_value(self, ref_params):
         assert float(partial_csi_rho(ref_params, 1.5)) == pytest.approx(
@@ -325,16 +351,11 @@ class TestDecideRho:
 
 class TestOracles:
     def test_grid_step_precondition(self, ref_params):
-        cached = policy._rho_grid.cache_info().currsize
-        for _ in range(2):  # a rejected step is not cached
-            with pytest.raises(ValueError):
-                oracle_grid_full(ref_params, 1.5, 1.5, step=1e-2)
-        assert policy._rho_grid.cache_info().currsize == cached
+        with pytest.raises(ValueError):
+            oracle_grid_full(ref_params, 1.5, 1.5, step=1e-2)
 
-    def test_grid_is_built_once_per_step_and_read_only(self):
+    def test_grid_spans_the_open_interval_at_step(self):
         grid = policy._rho_grid(1e-4)
-        assert policy._rho_grid(1e-4) is grid
-        assert not grid.flags.writeable
         assert grid.size == 9999 and grid[0] == 1e-4 and grid[-1] == 1.0 - 1e-4
 
     @pytest.mark.parametrize("step", [1e-4, 1e-3])

@@ -11,12 +11,12 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import package_env
 from swipt_relay import sim
 from swipt_relay.channel import FadingParams, sample_channels, sample_gains, substream
 from swipt_relay.link import conditional_outage, f_of_rho, h_threshold, sigma0_sq, snr
@@ -352,10 +352,7 @@ class TestWorkspace:
 
     def test_a_second_point_in_a_fresh_process_takes_no_fault_storm(self):
         pytest.importorskip("resource")
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", SECOND_POINT], env=env,
+        proc = subprocess.run([sys.executable, "-c", SECOND_POINT], env=package_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 100
@@ -537,6 +534,15 @@ class TestOutageExact:
         for name, values in (("p_s_dbm", p_s_dbm), ("lambda_h", lambda_h), ("lambda_g", lambda_g)):
             curve = [outage(**{name: v}) for v in sorted(values)]
             assert all(b <= a for a, b in zip(curve, curve[1:])), (name, sorted(values), curve)
+
+    @pytest.mark.parametrize("name", ["partial_csi", "fixed:0.4", "fixed:0.8"])
+    def test_is_at_most_one(self, name):
+        # the certain head and the quadrature tail summed to 1 + 1.3e-15 here unclamped
+        params = SystemParams(p_s=dbm_to_linear(40.0), sigma_r_sq=dbm_to_linear(-20.0),
+                              sigma_p_sq=dbm_to_linear(-20.0), sigma_d_sq=dbm_to_linear(0.0),
+                              rate=3.0)
+        p = outage_exact(params, FadingParams(1e-3, 1e-3), parse_policy(name))
+        assert 1.0 - 1e-12 < p <= 1.0
 
     def test_takes_params_fading_policy_and_returns_a_float(self, ref_params, ref_fading):
         assert list(inspect.signature(outage_exact).parameters) == ["params", "fading", "policy"]

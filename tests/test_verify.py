@@ -3,11 +3,11 @@ import subprocess
 import sys
 import threading
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import package_env
 from swipt_relay import policy, verify
 from swipt_relay.channel import substream
 from swipt_relay.link import f_of_rho, h_threshold, snr, w_ratio
@@ -265,10 +265,7 @@ print(passed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 def test_a_fresh_partial_battery_does_not_refault_its_blocks():
     pytest.importorskip("resource")
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", FRESH_PARTIAL], env=env,
+    proc = subprocess.run([sys.executable, "-c", FRESH_PARTIAL], env=package_env(),
                           capture_output=True, text=True, timeout=120)
     passed, faults = proc.stdout.split()
     assert passed == "True"
