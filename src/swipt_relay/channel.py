@@ -13,28 +13,15 @@ by sharing a stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .params import FadingParams
+
 __all__ = [
-    "FadingParams",
     "substream",
     "sample_gains",
     "sample_channels",
 ]
-
-
-@dataclass(frozen=True)
-class FadingParams:
-    lambda_h: float  # mean of |h|^2 (source -> relay)
-    lambda_g: float  # mean of |g|^2 (relay -> destination)
-
-    def __post_init__(self):
-        for name in ("lambda_h", "lambda_g"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
 def substream(parent_seed: int, *indices: int) -> np.random.Generator:

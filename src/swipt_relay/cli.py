@@ -16,15 +16,16 @@ import os
 import sys
 import tempfile
 
-from .channel import FadingParams
-from .params import ConfigError, require_number, validate
-from .policy import parse_policy, policy_name
-from .sim import GAIN_BASELINE, GAIN_POLICIES, SweepSpec, gains_from_sweep, outage_point, run_sweep
+from .params import (GAIN_BASELINE, GAIN_POLICIES, ConfigError, FadingParams, SweepSpec,
+                     parse_policy, policy_name, require_number, validate)
 
 DEFAULT_SEED = 12345
 
 # Largest n: above 2^53 a float p_out no longer gives back the event count p_out*n.
 MAX_N = 2 ** 53
+
+# An estimate from fewer outage events has a relative error above 10 %; it gets a warning.
+MIN_EVENTS = 100
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -33,6 +34,18 @@ EXIT_RUNTIME = 3
 
 SWEEP_HEADER = "sweep_var,sweep_value,policy,p_out,std_err,mean_rho,harvest_only_fraction,n,seed"
 GAINS_HEADER = "sweep_value,eta_full,eta_par,eta_rho06,eta_rho08"
+
+
+def outage_point(*args, **kwargs):
+    """sim.outage_point, imported on the first call: config checks load no numpy."""
+    from .sim import outage_point
+    return outage_point(*args, **kwargs)
+
+
+def run_sweep(spec, workers=1):
+    """sim.run_sweep, imported on the first call, as outage_point."""
+    from .sim import run_sweep
+    return run_sweep(spec, workers)
 
 
 def _fmt(x) -> str:
@@ -50,11 +63,6 @@ def _load_config(path):
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return cfg
-
-
-def _fading_from(cfg) -> FadingParams:
-    return FadingParams(lambda_h=require_number(cfg.get("lambda_h"), "lambda_h"),
-                        lambda_g=require_number(cfg.get("lambda_g"), "lambda_g"))
 
 
 def _policies_from(cfg):
@@ -128,6 +136,17 @@ def _estimate_row(sweep_var, sweep_value, pol, est, seed):
     )
 
 
+def _warn_few_events(variable, results):
+    """Warn on stderr for each (value, policy, estimate) of results with fewer than
+    MIN_EVENTS outage events, round(p_out*n); the relative error is about 1/sqrt(events)."""
+    for value, pol, est in results:
+        events = round(est.p_out * est.n)
+        if events < MIN_EVENTS:
+            print(f"warning: {variable}={_fmt(value)} {policy_name(pol)}: {events} outage events, "
+                  f"relative error {1 / math.sqrt(events) if events else math.inf:.2g}",
+                  file=sys.stderr)
+
+
 def _sweep_spec(cfg, args):
     """The SweepSpec of a config; `point` runs the one-value p_s_dbm sweep
     at the config's own power, so it shares every check."""
@@ -143,18 +162,15 @@ def _sweep_spec(cfg, args):
         raise ConfigError('missing sweep "variable"')
     if not isinstance(values, list) or not values:
         raise ConfigError('missing or empty sweep "values" list')
-    try:
-        return SweepSpec(
-            variable=str(variable),
-            values=tuple(require_number(v, "a sweep value") for v in values),
-            params=validate(cfg),
-            fading=_fading_from(cfg),
-            policies=_policies_from(cfg),
-            n=_int_from(cfg, args, "n", 1, maximum=MAX_N),
-            seed=_int_from(cfg, args, "seed", 0, DEFAULT_SEED),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return SweepSpec(
+        variable=str(variable),
+        values=tuple(require_number(v, "a sweep value") for v in values),
+        params=validate(cfg),
+        fading=FadingParams(*(require_number(cfg.get(k), k) for k in ("lambda_h", "lambda_g"))),
+        policies=_policies_from(cfg),
+        n=_int_from(cfg, args, "n", 1, maximum=MAX_N),
+        seed=_int_from(cfg, args, "seed", 0, DEFAULT_SEED),
+    )
 
 
 def _parse(args):
@@ -183,15 +199,11 @@ def _parse(args):
 
 def cmd_point(args) -> int:
     cfg, spec, out, _ = _parse(args)
-    params = spec.params
-    estimates = outage_point(
-        params, spec.fading, spec.policies, params.gamma_0, spec.n, spec.seed,
-        workers=args.workers,
-    )
-    rows = [
-        _estimate_row(spec.variable, spec.values[0], pol, est, spec.seed)
-        for pol, est in zip(spec.policies, estimates)
-    ]
+    estimates = outage_point(spec.params, spec.fading, spec.policies, spec.params.gamma_0,
+                             spec.n, spec.seed, workers=args.workers)
+    results = [(spec.values[0], pol, est) for pol, est in zip(spec.policies, estimates)]
+    _warn_few_events(spec.variable, results)
+    rows = [_estimate_row(spec.variable, *r, spec.seed) for r in results]
     _write_csv(out, _provenance(cfg, spec.seed, spec.n), SWEEP_HEADER, rows)
     for row in rows:
         print(f"{row[2]}: p_out={row[3]} (std_err={row[4]})")
@@ -200,6 +212,7 @@ def cmd_point(args) -> int:
 
 
 def _gain_rows(sweep_rows):
+    from .sim import gains_from_sweep
     return [
         (_fmt(g.sweep_value),) + tuple(_fmt(g.eta[name][0]) for name in GAIN_POLICIES)
         for g in gains_from_sweep(sweep_rows)
@@ -211,13 +224,13 @@ def cmd_sweep(args) -> int:
     the ones _parse named, so a command that fails writes neither."""
     cfg, spec, out, gains_out = _parse(args)
     rows = run_sweep(spec, workers=args.workers)
+    results = [(r.sweep_value, r.policy, r.estimate) for r in rows]
+    _warn_few_events(spec.variable, results)
     gain_rows = None if gains_out is None else _gain_rows(rows)
     provenance = _provenance(cfg, spec.seed, spec.n)
     if out is not None:
-        _write_csv(out, provenance, SWEEP_HEADER, [
-            _estimate_row(spec.variable, r.sweep_value, r.policy, r.estimate, spec.seed)
-            for r in rows
-        ])
+        _write_csv(out, provenance, SWEEP_HEADER,
+                   [_estimate_row(spec.variable, *r, spec.seed) for r in results])
         print(f"wrote {out} ({len(rows)} rows)")
     if gains_out is not None:
         _write_csv(gains_out, provenance, GAINS_HEADER, gain_rows)

@@ -1,4 +1,8 @@
-"""System-level parameters: transmit power, noise variances, rate threshold.
+"""The config layer: system parameters (transmit power, noise variances, rate
+threshold), fading means, policies and sweep specs, checked with the standard
+library alone; every check raises ConfigError. Only dbm_to_linear's array
+branch imports numpy, so the CLI refuses a config mistake, and answers --help,
+before numpy loads.
 
 Internally every power and variance is stored in linear milliwatts; dBm
 appears only at the config/CLI boundary. The outage SNR threshold gamma_0
@@ -8,24 +12,36 @@ of sync.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
+from sys import float_info
+from typing import Union
 
-import numpy as np
+__all__ = ["ConfigError", "SystemParams", "dbm_to_linear", "require_number", "validate",
+           "FadingParams", "Fixed", "FullCSI", "PartialCSI", "Policy", "parse_policy",
+           "policy_name", "GAIN_BASELINE", "GAIN_POLICIES", "SweepSpec"]
 
 
 class ConfigError(ValueError):
     """A config value is missing, malformed, or out of range."""
 
 
+_DBM_RANGE = "dBm value out of range [-3000, 3000]: {!r}"
+
+
 def dbm_to_linear(x_dbm):
     """Convert dBm to linear milliwatts: 10^(x/10), for |x| <= 3000 dBm only. A float
     gives a float and an array an array of its shape, each value through the C pow
     as 10.0 ** (x / 10.0) takes it (np.power misses that last bit on 1 value in 20)."""
+    if isinstance(x_dbm, (int, float)):
+        if not abs(x_dbm) <= 3000.0:  # NaN too
+            raise ConfigError(_DBM_RANGE.format(float(x_dbm)))
+        return math.pow(10.0, x_dbm / 10.0)
+    import numpy as np
     x = np.asarray(x_dbm, dtype=float)
     outside = ~(np.abs(x) <= 3000.0)  # NaN too
     if outside.any():
-        raise ConfigError(f"dBm value out of range [-3000, 3000]: {float(x[outside][0])!r}")
+        raise ConfigError(_DBM_RANGE.format(float(x[outside][0])))
     linear = np.fromiter(map(math.pow, repeat(10.0), (x / 10.0).ravel().tolist()), float, x.size)
     return linear.reshape(x.shape) if x.ndim else float(linear[0])
 
@@ -74,11 +90,11 @@ _DBM_KEYS = {
 
 
 def require_number(v, name) -> float:
-    """A config value as a float. None (a missing key) and anything that is not
-    a finite JSON number (a string, a bool, NaN) are ConfigErrors naming it."""
+    """A config value as a float. None (a missing key) and anything that is not a
+    number finite as a float (a string, a bool, NaN, 10**400) are ConfigErrors naming it."""
     if v is None:
         raise ConfigError(f"missing {name}")
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= float_info.max:
         raise ConfigError(f"{name} must be a finite number, got {v!r}")
     return float(v)
 
@@ -94,3 +110,96 @@ def validate(raw) -> SystemParams:
     fields["rate"] = require_number(raw.get("rate_bps_hz"), "rate_bps_hz")
     fields["epsilon"] = require_number(raw.get("epsilon", 1.0), "epsilon")
     return SystemParams(**fields)
+
+
+@dataclass(frozen=True)
+class FadingParams:
+    lambda_h: float  # mean of |h|^2 (source -> relay)
+    lambda_g: float  # mean of |g|^2 (relay -> destination)
+
+    def __post_init__(self):
+        for name in ("lambda_h", "lambda_g"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+
+
+@dataclass(frozen=True)
+class Fixed:
+    rho0: float
+
+    def __post_init__(self):
+        if not 0.0 < self.rho0 < 1.0:
+            raise ConfigError(f"fixed rho0 must be strictly inside (0, 1), got {self.rho0!r}")
+
+
+@dataclass(frozen=True)
+class FullCSI:
+    pass
+
+
+@dataclass(frozen=True)
+class PartialCSI:
+    pass
+
+
+Policy = Union[Fixed, FullCSI, PartialCSI]
+_NAMED = {"full_csi": FullCSI(), "partial_csi": PartialCSI()}  # every policy without a parameter
+
+
+def parse_policy(name: str) -> Policy:
+    """Parse a policy spec string: 'full_csi', 'partial_csi', or 'fixed:<rho0>'."""
+    if name in _NAMED:
+        return _NAMED[name]
+    if name.startswith("fixed:"):
+        try:
+            rho0 = float(name.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"bad fixed policy spec: {name!r}") from None
+        return Fixed(rho0)
+    raise ConfigError(f"unknown policy {name!r}; valid: {', '.join(_NAMED)}, fixed:<rho0>")
+
+
+def policy_name(policy: Policy) -> str:
+    if isinstance(policy, Fixed):
+        return f"fixed:{float(policy.rho0)!r}"  # round-trips through parse_policy
+    return {named: name for name, named in _NAMED.items()}[policy]
+
+
+# The gains table compares these policies, in column order, with its baseline.
+GAIN_BASELINE = "fixed:0.4"
+GAIN_POLICIES = ("full_csi", "partial_csi", "fixed:0.6", "fixed:0.8")
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    variable: str                 # one of: p_s_dbm, lambda_g, lambda_h
+    values: tuple                 # strictly increasing, nonempty
+    params: SystemParams
+    fading: FadingParams
+    policies: tuple               # Policy instances
+    n: int                        # realizations per (value, policy)
+    seed: int
+
+    def __post_init__(self):
+        if self.variable not in ("p_s_dbm", "lambda_g", "lambda_h"):
+            raise ConfigError(f"unknown sweep variable {self.variable!r}")
+        if len(self.values) == 0:
+            raise ConfigError("sweep values must be nonempty")
+        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+            raise ConfigError("sweep values must be strictly increasing")
+        if len(self.policies) == 0:
+            raise ConfigError("at least one policy required")
+        for value in self.values:  # every point's params must be valid up front
+            _point_config(self, value)
+
+
+def _point_config(spec: SweepSpec, value):
+    params, fading = spec.params, spec.fading
+    if spec.variable == "p_s_dbm":
+        params = replace(params, p_s=dbm_to_linear(float(value)))
+    elif spec.variable == "lambda_h":
+        fading = replace(fading, lambda_h=float(value))
+    else:
+        fading = replace(fading, lambda_g=float(value))
+    return params, fading

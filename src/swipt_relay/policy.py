@@ -1,6 +1,6 @@
 """Power-splitting policies and the grid-search oracles that verify them.
 
-Three policies map a channel realization to a splitting ratio rho:
+Three policies, whose types live in params, map a channel realization to rho:
 
 * Fixed(rho0): ignores the channel.
 * FullCSI: knows |h|^2 and |g|^2, picks the rho maximizing the instantaneous
@@ -22,67 +22,19 @@ a bisection over grid indices finds it for all instances at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
 from .link import h_threshold, margin_terms
+from .params import Fixed, FullCSI, PartialCSI, Policy
+from .params import parse_policy, policy_name  # noqa: F401 - re-exported
 
 __all__ = [
-    "Fixed",
-    "FullCSI",
-    "PartialCSI",
-    "Policy",
-    "parse_policy",
-    "policy_name",
     "full_csi_rho",
     "partial_csi_rho",
     "decide_rho",
     "oracle_grid_full",
     "oracle_grid_partial",
 ]
-
-@dataclass(frozen=True)
-class Fixed:
-    rho0: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho0 < 1.0:
-            raise ValueError(f"fixed rho0 must be strictly inside (0, 1), got {self.rho0!r}")
-
-
-@dataclass(frozen=True)
-class FullCSI:
-    pass
-
-
-@dataclass(frozen=True)
-class PartialCSI:
-    pass
-
-
-Policy = Union[Fixed, FullCSI, PartialCSI]
-_NAMED = {"full_csi": FullCSI(), "partial_csi": PartialCSI()}  # every policy without a parameter
-
-
-def parse_policy(name: str) -> Policy:
-    """Parse a policy spec string: 'full_csi', 'partial_csi', or 'fixed:<rho0>'."""
-    if name in _NAMED:
-        return _NAMED[name]
-    if name.startswith("fixed:"):
-        try:
-            rho0 = float(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad fixed policy spec: {name!r}") from None
-        return Fixed(rho0)
-    raise ValueError(f"unknown policy {name!r}; valid: {', '.join(_NAMED)}, fixed:<rho0>")
-
-
-def policy_name(policy: Policy) -> str:
-    if isinstance(policy, Fixed):
-        return f"fixed:{float(policy.rho0)!r}"  # round-trips through parse_policy
-    return {named: name for name, named in _NAMED.items()}[policy]
 
 
 def full_csi_rho(params, h_sq, g_sq, *, terms=None, out=None, scratch=None):

@@ -25,7 +25,6 @@ either kernel allocates nothing slice-sized; no result depends on it.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import threading
@@ -34,17 +33,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import FadingParams, sample_channels, sample_gains, substream
+from .channel import sample_channels, sample_gains, substream
 from .link import conditional_outage, h_threshold, margin_terms, snr
-from .params import SystemParams, dbm_to_linear
+from .params import GAIN_BASELINE, GAIN_POLICIES, SweepSpec, _point_config
 from .policy import Fixed, FullCSI, PartialCSI, Policy, decide_rho, policy_name
 
 __all__ = [
     "BATCH_SIZE",
-    "GAIN_BASELINE",
-    "GAIN_POLICIES",
     "OutageEstimate",
-    "SweepSpec",
     "SweepRow",
     "GainRow",
     "outage_mc",
@@ -72,11 +68,6 @@ EXACT_NODES = 24  # Gauss-Legendre nodes per outage_exact panel; 32 moves it < 5
 # Relative slack on the outage screen's two bounds (see _mc_batch).
 SCREEN_SLACK = 1e-9
 
-# The gains table compares these policies, in column order, with its baseline.
-GAIN_BASELINE = "fixed:0.4"
-GAIN_POLICIES = ("full_csi", "partial_csi", "fixed:0.6", "fixed:0.8")
-
-
 @dataclass(frozen=True)
 class OutageEstimate:
     p_out: float        # estimated outage probability
@@ -84,29 +75,6 @@ class OutageEstimate:
     n: int              # realization count
     mean_rho: float     # average rho over transmitting realizations (nan if none)
     harvest_only_fraction: float  # fraction of realizations with rho == 1
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: str                 # one of: p_s_dbm, lambda_g, lambda_h
-    values: tuple                 # strictly increasing, nonempty
-    params: SystemParams
-    fading: FadingParams
-    policies: tuple               # Policy instances
-    n: int                        # realizations per (value, policy)
-    seed: int
-
-    def __post_init__(self):
-        if self.variable not in ("p_s_dbm", "lambda_g", "lambda_h"):
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if len(self.values) == 0:
-            raise ValueError("sweep values must be nonempty")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("sweep values must be strictly increasing")
-        if len(self.policies) == 0:
-            raise ValueError("at least one policy required")
-        for value in self.values:  # every point's params must be valid up front
-            _point_config(self, value)
 
 
 @dataclass(frozen=True)
@@ -395,17 +363,6 @@ def horizontal_gain_db(curve_dyn, curve_base, at_p_s_dbm: float) -> float:
     # logp_b is decreasing; flip for np.interp's increasing-x requirement
     p_s_prime = float(np.interp(target, logp_b[::-1], xs_b[::-1]))
     return p_s_prime - at_p_s_dbm
-
-
-def _point_config(spec: SweepSpec, value):
-    params, fading = spec.params, spec.fading
-    if spec.variable == "p_s_dbm":
-        params = dataclasses.replace(params, p_s=dbm_to_linear(float(value)))
-    elif spec.variable == "lambda_h":
-        fading = dataclasses.replace(fading, lambda_h=float(value))
-    else:
-        fading = dataclasses.replace(fading, lambda_g=float(value))
-    return params, fading
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple:

@@ -1,5 +1,8 @@
+import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -87,6 +90,7 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     ("point", {"argv": ["--n", "1e3"]}),
     ("point", {"rate_bps_hz": 1024}),
     ("point", {"rate_bps_hz": 1e-17}),
+    ("point", {"lambda_h": 10**400}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -97,6 +101,7 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     "n-missing", "gains-rho0-not-0.6", "out-flag-directory", "gains_out-directory",
     "gains_out-is-out", "gains_out-is-out-spelled-differently", "workers-not-int",
     "n-not-int", "rate-overflows-gamma_0", "rate-gives-gamma_0-zero",
+    "lambda_h-integer-beyond-float",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing
@@ -158,24 +163,61 @@ def test_runtime_error_names_its_type(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: MemoryError: \n"
 
 
-# A fresh process runs this sweep; only `verify` and `--workers` > 1 need the
-# modules it checks for, so start-up must not import them.
-FRESH_SWEEP = """
-import sys
+# A fresh process runs each command line of its arguments. Every config check
+# and --help run before compute, and only compute needs numpy and the modules
+# built on it; only `verify` and `--workers` > 1 need a pool. So none is loaded.
+FRESH_CLI = """
+import contextlib, io, json, sys
 from swipt_relay import cli
-code = cli.main(["sweep", "--config", sys.argv[1], "--n", "0"])
-loaded = [m for m in ("multiprocessing", "concurrent.futures", "swipt_relay.verify")
-          if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):  # what --help prints
+    codes = [cli.main(json.loads(argv)) for argv in sys.argv[1:]]
+loaded = [m for m in ("numpy", "multiprocessing", "concurrent.futures", "swipt_relay.verify",
+                      "swipt_relay.sim", "swipt_relay.channel", "swipt_relay.link",
+                      "swipt_relay.policy") if m in sys.modules]
 import concurrent.futures
 from swipt_relay import sim
-print(code, loaded, sim.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)
+print(codes, loaded, sim.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)
 """
 
 
-def test_a_fresh_cli_imports_neither_pool_nor_verify():
-    proc = subprocess.run([sys.executable, "-c", FRESH_SWEEP, str(ROOT / "demos/config.example.json")],
+def test_a_fresh_cli_imports_neither_pool_nor_verify(tmp_path):
+    argvs = [["sweep", "--config", str(ROOT / "demos/config.example.json"), "--n", "0"]]
+    for i, (command, overrides) in enumerate([
+        ("point", {"p_s_dbm": 4000}),
+        ("point", {"lambda_g": 0}),
+        ("point", {"policies": ["full_csi", "fixed:1.5"]}),
+        ("sweep", {"sweep": {"variable": "lambda_g", "values": [2.0, 1.0]}}),
+    ]):
+        cfg = write_config(tmp_path, overrides, name=f"config{i}.json")
+        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    argvs.append(["sweep", "--help"])
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI] + [json.dumps(a) for a in argvs],
                           env=package_env(), capture_output=True, text=True, timeout=60)
-    assert proc.stdout == f"{EXIT_CONFIG} [] True\n"
+    assert proc.stdout == f"{[EXIT_CONFIG] * 5 + [EXIT_OK]} [] True\n"
+    assert proc.stderr.splitlines() == [
+        "config error: n must be an integer in [1, 9007199254740992], got 0",
+        "config error: dBm value out of range [-3000, 3000]: 4000.0",
+        "config error: lambda_g must be positive and finite, got 0.0",
+        "config error: fixed rho0 must be strictly inside (0, 1), got 1.5",
+        "config error: sweep values must be strictly increasing",
+    ]
+
+
+def test_a_sweep_warns_on_stderr_for_each_row_with_fewer_than_100_events(
+        tmp_path, monkeypatch, capsys):
+    # the shipped config at its own n = 10^6 writes sweep.csv and gains.csv
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(ROOT / "demos" / "config.example.json")]) == EXIT_OK
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+    few = {(r["sweep_value"], r["policy"]): float(r["p_out"]) * int(r["n"]) for r in rows
+           if float(r["p_out"]) * int(r["n"]) < 100}
+    warned = re.findall(r"^warning: p_s_dbm=(\S+) (\S+): (\d+) outage events, "
+                        r"relative error (\S+)$", capsys.readouterr().err, re.M)
+    assert 0 < len(few) < len(rows)
+    assert {(value, pol): int(count) for value, pol, count, _ in warned} == pytest.approx(few)
+    assert all(rel == f"{1 / math.sqrt(int(count)):.2g}" for *_, count, rel in warned)
+    assert not any(l.startswith("warning") for l in lines)
 
 
 class TestPoint:
