@@ -36,14 +36,8 @@ SWEEP_HEADER = "sweep_var,sweep_value,policy,p_out,std_err,mean_rho,harvest_only
 GAINS_HEADER = "sweep_value,eta_full,eta_par,eta_rho06,eta_rho08"
 
 
-def outage_point(*args, **kwargs):
-    """sim.outage_point, imported on the first call: config checks load no numpy."""
-    from .sim import outage_point
-    return outage_point(*args, **kwargs)
-
-
 def run_sweep(spec, workers=1):
-    """sim.run_sweep, imported on the first call, as outage_point."""
+    """sim.run_sweep, imported on the first call: config checks load no numpy."""
     from .sim import run_sweep
     return run_sweep(spec, workers)
 
@@ -122,11 +116,12 @@ def _provenance(cfg, seed, n):
     return [f"seed={seed}", f"n={n}", f"config={echo}"]
 
 
-def _estimate_row(sweep_var, sweep_value, pol, est, seed):
+def _estimate_row(sweep_var, row, seed):
+    est = row.estimate
     return (
         sweep_var,
-        _fmt(sweep_value),
-        policy_name(pol),
+        _fmt(row.sweep_value),
+        policy_name(row.policy),
         _fmt(est.p_out),
         _fmt(est.std_err),
         _fmt(est.mean_rho),
@@ -136,13 +131,14 @@ def _estimate_row(sweep_var, sweep_value, pol, est, seed):
     )
 
 
-def _warn_few_events(variable, results):
-    """Warn on stderr for each (value, policy, estimate) of results with fewer than
-    MIN_EVENTS outage events, round(p_out*n); the relative error is about 1/sqrt(events)."""
-    for value, pol, est in results:
-        events = round(est.p_out * est.n)
+def _warn_few_events(variable, rows):
+    """Warn on stderr for each SweepRow with fewer than MIN_EVENTS outage
+    events, round(p_out*n); the relative error is about 1/sqrt(events)."""
+    for row in rows:
+        events = round(row.estimate.p_out * row.estimate.n)
         if events < MIN_EVENTS:
-            print(f"warning: {variable}={_fmt(value)} {policy_name(pol)}: {events} outage events, "
+            print(f"warning: {variable}={_fmt(row.sweep_value)} {policy_name(row.policy)}: "
+                  f"{events} outage events, "
                   f"relative error {1 / math.sqrt(events) if events else math.inf:.2g}",
                   file=sys.stderr)
 
@@ -197,45 +193,41 @@ def _parse(args):
     return cfg, spec, out, gains_out
 
 
-def cmd_point(args) -> int:
-    cfg, spec, out, _ = _parse(args)
-    estimates = outage_point(spec.params, spec.fading, spec.policies, spec.params.gamma_0,
-                             spec.n, spec.seed, workers=args.workers)
-    results = [(spec.values[0], pol, est) for pol, est in zip(spec.policies, estimates)]
-    _warn_few_events(spec.variable, results)
-    rows = [_estimate_row(spec.variable, *r, spec.seed) for r in results]
-    _write_csv(out, _provenance(cfg, spec.seed, spec.n), SWEEP_HEADER, rows)
-    for row in rows:
-        print(f"{row[2]}: p_out={row[3]} (std_err={row[4]})")
-    print(f"wrote {out}")
+def _write_tables(cfg, spec, rows, out, gains_out):
+    """The post-run path of `point`, `sweep` and `gains`: warn on the SweepRows, then
+    compute every table _parse named before writing any, so failed gains write none."""
+    _warn_few_events(spec.variable, rows)
+    tables = [] if out is None else [
+        (out, SWEEP_HEADER, [_estimate_row(spec.variable, r, spec.seed) for r in rows])]
+    if gains_out is not None:
+        from .sim import gains_from_sweep
+        tables.append((gains_out, GAINS_HEADER, [
+            (_fmt(g.sweep_value),) + tuple(_fmt(g.eta[name][0]) for name in GAIN_POLICIES)
+            for g in gains_from_sweep(rows)]))
+    for path, header, table in tables:
+        _write_csv(path, _provenance(cfg, spec.seed, spec.n), header, table)
+        print(f"wrote {path} ({len(table)} rows)")
     return EXIT_OK
 
 
-def _gain_rows(sweep_rows):
-    from .sim import gains_from_sweep
-    return [
-        (_fmt(g.sweep_value),) + tuple(_fmt(g.eta[name][0]) for name in GAIN_POLICIES)
-        for g in gains_from_sweep(sweep_rows)
-    ]
+def cmd_point(args) -> int:
+    """`point`: one SweepRow per policy at the config's own power, from the
+    policies' shared draws on substream key ()."""
+    cfg, spec, out, gains_out = _parse(args)
+    from .sim import SweepRow, outage_point
+    estimates = outage_point(spec.params, spec.fading, spec.policies, spec.params.gamma_0,
+                             spec.n, spec.seed, workers=args.workers)
+    rows = [SweepRow(spec.values[0], pol, est) for pol, est in zip(spec.policies, estimates)]
+    for row in rows:
+        print(f"{policy_name(row.policy)}: p_out={_fmt(row.estimate.p_out)} "
+              f"(std_err={_fmt(row.estimate.std_err)})")
+    return _write_tables(cfg, spec, rows, out, gains_out)
 
 
 def cmd_sweep(args) -> int:
-    """`sweep` and `gains`: run the sweep and compute both tables, then write
-    the ones _parse named, so a command that fails writes neither."""
+    """`sweep` and `gains`: run the sweep, then write the tables _parse named."""
     cfg, spec, out, gains_out = _parse(args)
-    rows = run_sweep(spec, workers=args.workers)
-    results = [(r.sweep_value, r.policy, r.estimate) for r in rows]
-    _warn_few_events(spec.variable, results)
-    gain_rows = None if gains_out is None else _gain_rows(rows)
-    provenance = _provenance(cfg, spec.seed, spec.n)
-    if out is not None:
-        _write_csv(out, provenance, SWEEP_HEADER,
-                   [_estimate_row(spec.variable, *r, spec.seed) for r in results])
-        print(f"wrote {out} ({len(rows)} rows)")
-    if gains_out is not None:
-        _write_csv(gains_out, provenance, GAINS_HEADER, gain_rows)
-        print(f"wrote {gains_out}")
-    return EXIT_OK
+    return _write_tables(cfg, spec, run_sweep(spec, workers=args.workers), out, gains_out)
 
 
 def cmd_verify(args) -> int:

@@ -190,6 +190,9 @@ class SweepSpec:
             raise ConfigError("sweep values must be strictly increasing")
         if len(self.policies) == 0:
             raise ConfigError("at least one policy required")
+        twice = [p for i, p in enumerate(self.policies) if p in self.policies[:i]]
+        if twice:  # its rows would repeat, and the gains table would keep only one
+            raise ConfigError(f"policy {policy_name(twice[0])} is listed twice")
         for value in self.values:  # every point's params must be valid up front
             _point_config(self, value)
 

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import package_env
 from swipt_relay.channel import FadingParams, sample_gains, substream
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import Fixed, FullCSI, PartialCSI, policy_name
@@ -303,7 +304,7 @@ def test_criterion_9_cli_sweep_determinism(tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "swipt_relay.cli", "sweep",
              "--config", str(cfg_path), "--out", str(out), *extra],
-            capture_output=True, text=True,
+            env=package_env(), capture_output=True, text=True,
         )
         assert r.returncode == 0, r.stderr
         outputs.append(out.read_bytes())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ROOT, package_env
-from swipt_relay import cli, policy, verify
+from swipt_relay import cli, policy, sim, verify
 from swipt_relay.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -91,6 +91,7 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     ("point", {"rate_bps_hz": 1024}),
     ("point", {"rate_bps_hz": 1e-17}),
     ("point", {"lambda_h": 10**400}),
+    ("point", {"policies": ["fixed:0.6", "fixed:0.60", "full_csi"]}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -101,14 +102,14 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     "n-missing", "gains-rho0-not-0.6", "out-flag-directory", "gains_out-directory",
     "gains_out-is-out", "gains_out-is-out-spelled-differently", "workers-not-int",
     "n-not-int", "rate-overflows-gamma_0", "rate-gives-gamma_0-zero",
-    "lambda_h-integer-beyond-float",
+    "lambda_h-integer-beyond-float", "policies-duplicate",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing
     def no_compute(*args, **kwargs):
         pytest.fail("compute started on a bad config")
 
-    monkeypatch.setattr(cli, "outage_point", no_compute)
+    monkeypatch.setattr(sim, "outage_point", no_compute)
     monkeypatch.setattr(cli, "run_sweep", no_compute)
     if isinstance(overrides, str):  # the config file's whole text
         cfg, flags = tmp_path / "config.json", []
@@ -157,7 +158,7 @@ def test_runtime_error_names_its_type(tmp_path, monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "outage_point", out_of_memory)
+    monkeypatch.setattr(sim, "outage_point", out_of_memory)
     cfg = write_config(tmp_path)
     assert main(["point", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_RUNTIME
     assert capsys.readouterr().err == "error: MemoryError: \n"
@@ -205,19 +206,43 @@ def test_a_fresh_cli_imports_neither_pool_nor_verify(tmp_path):
 
 def test_a_sweep_warns_on_stderr_for_each_row_with_fewer_than_100_events(
         tmp_path, monkeypatch, capsys):
-    # the shipped config at its own n = 10^6 writes sweep.csv and gains.csv
+    # every table command on the shipped config at its own n = 10^6: `sweep` writes
+    # sweep.csv and gains.csv, `gains` warns on the same rows as `sweep`, and
+    # `point` at 40 dBm warns on its own rows
     monkeypatch.chdir(tmp_path)
-    assert main(["sweep", "--config", str(ROOT / "demos" / "config.example.json")]) == EXIT_OK
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
-    few = {(r["sweep_value"], r["policy"]): float(r["p_out"]) * int(r["n"]) for r in rows
-           if float(r["p_out"]) * int(r["n"]) < 100}
-    warned = re.findall(r"^warning: p_s_dbm=(\S+) (\S+): (\d+) outage events, "
-                        r"relative error (\S+)$", capsys.readouterr().err, re.M)
-    assert 0 < len(few) < len(rows)
-    assert {(value, pol): int(count) for value, pol, count, _ in warned} == pytest.approx(few)
-    assert all(rel == f"{1 / math.sqrt(int(count)):.2g}" for *_, count, rel in warned)
-    assert not any(l.startswith("warning") for l in lines)
+    config = str(ROOT / "demos" / "config.example.json")
+    for argv, table in [(["sweep"], "sweep.csv"), (["gains", "--out", "g.csv"], "sweep.csv"),
+                        (["point", "--out", "point.csv"], "point.csv")]:
+        assert main(argv + ["--config", config]) == EXIT_OK
+        lines = (tmp_path / table).read_text().splitlines()
+        rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+        few = {(r["sweep_value"], r["policy"]): float(r["p_out"]) * int(r["n"]) for r in rows
+               if float(r["p_out"]) * int(r["n"]) < 100}
+        warned = re.findall(r"^warning: p_s_dbm=(\S+) (\S+): (\d+) outage events, "
+                            r"relative error (\S+)$", capsys.readouterr().err, re.M)
+        assert 0 < len(few) < len(rows)
+        assert {(value, pol): int(count) for value, pol, count, _ in warned} == pytest.approx(few)
+        assert all(rel == f"{1 / math.sqrt(int(count)):.2g}" for *_, count, rel in warned)
+        assert not any(l.startswith("warning") for l in lines)
+
+
+def test_both_routes_write_one_gains_table_and_each_table_prints_one_wrote_line(
+        tmp_path, capsys):
+    sweep_csv, gains_a, gains_b, point_csv = (
+        str(tmp_path / name) for name in ("s.csv", "ga.csv", "gb.csv", "p.csv"))
+    cfg = str(write_config(tmp_path, {"sweep": LAMBDA_G_SWEEP, "n": 10**5, "gains_out": gains_a}))
+    assert main(["sweep", "--config", cfg, "--out", sweep_csv]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {sweep_csv} (10 rows)\nwrote {gains_a} (2 rows)\n"
+    assert main(["gains", "--config", cfg, "--out", gains_b]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {gains_b} (2 rows)\n"
+    assert (tmp_path / "ga.csv").read_bytes() == (tmp_path / "gb.csv").read_bytes()
+    # `point` prints each policy's estimate as its CSV row gives it, then its wrote line
+    assert main(["point", "--config", cfg, "--out", point_csv]) == EXIT_OK
+    lines = (tmp_path / "p.csv").read_text().splitlines()
+    rows = csv.DictReader(l for l in lines if not l.startswith("#"))
+    assert capsys.readouterr().out.splitlines() == [
+        f"{r['policy']}: p_out={r['p_out']} (std_err={r['std_err']})" for r in rows
+    ] + [f"wrote {point_csv} (5 rows)"]
 
 
 class TestPoint:

@@ -649,7 +649,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("values,policies,message", [
         ((), (Fixed(0.4),), "nonempty"),
         ((1.5,), (), "at least one policy"),
-    ], ids=["values-empty", "policies-empty"])
+        ((1.5,), (Fixed(0.6), Fixed(0.60), FullCSI()), "policy fixed:0.6 is listed twice"),
+    ], ids=["values-empty", "policies-empty", "policy-twice"])
     def test_incomplete_spec_rejected(self, ref_params, ref_fading, values, policies, message):
         with pytest.raises(ValueError, match=message):
             SweepSpec(variable="lambda_g", values=values, params=ref_params,
