@@ -59,13 +59,6 @@ def _load_config(path):
     return cfg
 
 
-def _policies_from(cfg):
-    names = cfg.get("policies")
-    if not isinstance(names, list) or not names:
-        raise ConfigError('missing "policies" list')
-    return tuple(parse_policy(str(n)) for n in names)
-
-
 def _int_from(cfg, args, key, minimum, default=None, maximum=math.inf):
     """A flag, else a config value, else the default: an integer in
     [minimum, maximum]. JSON writes 1e6 as a float, so integral floats count;
@@ -82,11 +75,13 @@ def _int_from(cfg, args, key, minimum, default=None, maximum=math.inf):
     return v
 
 
-def _out_path(out):
+def _out_path(cfg, key, flag=None):
+    """The path of the table under config key `key`, or the --out flag in its place."""
+    name, out = (key, cfg.get(key)) if flag is None else ("--out", flag)
     if not isinstance(out, str) or not out:
-        raise ConfigError(f"output path must be a non-empty string, got {out!r}")
+        raise ConfigError(f"{name} must be a non-empty string path, got {out!r}")
     if os.path.isdir(out):
-        raise ConfigError(f"output path {out} is a directory")
+        raise ConfigError(f"{name} {out} is a directory")
     directory = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory} does not exist")
@@ -158,39 +153,41 @@ def _sweep_spec(cfg, args):
         raise ConfigError('missing sweep "variable"')
     if not isinstance(values, list) or not values:
         raise ConfigError('missing or empty sweep "values" list')
+    names = cfg.get("policies")
+    if not isinstance(names, list) or not names:
+        raise ConfigError('missing "policies" list')
     return SweepSpec(
         variable=str(variable),
         values=tuple(require_number(v, "a sweep value") for v in values),
         params=validate(cfg),
         fading=FadingParams(*(require_number(cfg.get(k), k) for k in ("lambda_h", "lambda_g"))),
-        policies=_policies_from(cfg),
+        policies=tuple(parse_policy(str(n)) for n in names),
         n=_int_from(cfg, args, "n", 1, maximum=MAX_N),
         seed=_int_from(cfg, args, "seed", 0, DEFAULT_SEED),
     )
 
 
 def _parse(args):
-    """Check the whole config before any compute starts; every mistake is a
-    ConfigError. Returns (cfg, spec, out, gains_out), where out is the
-    estimates table and gains_out the gains table; either may be None."""
+    """Check the whole config before any compute starts; every mistake is a ConfigError.
+    Returns (cfg, spec, out, gains_out): the estimates and gains tables' paths, each from
+    its own config key or None, with --out in place of the command's own table's."""
     if args.workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {args.workers}")
     cfg = _load_config(args.config)
     spec = _sweep_spec(cfg, args)
-    out = _out_path(cfg.get("out") if args.out is None else args.out)
-    gains_out = None
-    if args.command == "gains":
-        out, gains_out = None, out
-    elif args.command == "sweep" and cfg.get("gains_out") is not None:
-        gains_out = _out_path(cfg["gains_out"])
-        if os.path.realpath(gains_out) == os.path.realpath(out):
-            raise ConfigError(f"gains_out {gains_out} is the same file as the output {out}")
-    if gains_out is not None:
+    own = "gains_out" if args.command == "gains" else "out"
+    tables = {own: _out_path(cfg, own, args.out)}
+    if args.command == "sweep" and cfg.get("gains_out") is not None:
+        tables["gains_out"] = _out_path(cfg, "gains_out")
+    files = [args.config, *tables.values()]
+    if len({os.path.realpath(f) for f in files}) < len(files):
+        raise ConfigError(f"the config and each table need their own file, got {', '.join(files)}")
+    if "gains_out" in tables:
         names = {policy_name(p) for p in spec.policies}
         missing = [p for p in (GAIN_BASELINE,) + GAIN_POLICIES if p not in names]
         if missing:
             raise ConfigError(f"the gains table needs the policies {missing}")
-    return cfg, spec, out, gains_out
+    return cfg, spec, tables.get("out"), tables.get("gains_out")
 
 
 def _write_tables(cfg, spec, rows, out, gains_out):

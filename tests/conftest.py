@@ -14,9 +14,10 @@ SRC = ROOT / "src" / "swipt_relay"
 
 
 def size_line():
-    """The size of the package, the design metric each change reports."""
-    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
-    return f"src/swipt_relay/*.py: {lines} lines (wc -l)"
+    """The sizes of the package and of its tests, the design metrics each change reports."""
+    src, tests = (sum(path.read_bytes().count(b"\n") for path in directory.glob("*.py"))
+                  for directory in (SRC, ROOT / "tests"))
+    return f"src/swipt_relay/*.py: {src} lines, tests/*.py: {tests} lines (wc -l)"
 
 
 def package_env():

@@ -92,6 +92,9 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     ("point", {"rate_bps_hz": 1e-17}),
     ("point", {"lambda_h": 10**400}),
     ("point", {"policies": ["fixed:0.6", "fixed:0.60", "full_csi"]}),
+    ("point", {"argv": ["--out", "config.json"]}),
+    ("gains", {"sweep": LAMBDA_G_SWEEP, "argv": ["--out", "./config.json"]}),
+    ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "config.json"}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -102,10 +105,14 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     "n-missing", "gains-rho0-not-0.6", "out-flag-directory", "gains_out-directory",
     "gains_out-is-out", "gains_out-is-out-spelled-differently", "workers-not-int",
     "n-not-int", "rate-overflows-gamma_0", "rate-gives-gamma_0-zero",
-    "lambda_h-integer-beyond-float", "policies-duplicate",
+    "lambda_h-integer-beyond-float", "policies-duplicate", "out-flag-is-config",
+    "gains-out-flag-is-config-spelled-differently", "gains_out-is-config",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
-    # compute is patched to fail, so even the huge n cases allocate nothing
+    # compute is patched to fail, so even the huge n cases allocate nothing; a
+    # relative path resolves in tmp_path, beside the config
+    monkeypatch.chdir(tmp_path)
+
     def no_compute(*args, **kwargs):
         pytest.fail("compute started on a bad config")
 
@@ -121,9 +128,10 @@ def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, o
             if overrides.get(key):
                 overrides[key] = str(tmp_path / overrides[key])
         cfg = write_config(tmp_path, overrides)
-    out = tmp_path / "out.csv"
+    out, text = tmp_path / "out.csv", cfg.read_text()
     assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == EXIT_CONFIG
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+    assert cfg.read_text() == text
 
 
 def test_a_failed_csv_write_leaves_the_target_and_no_temporary(tmp_path):
@@ -191,16 +199,21 @@ def test_a_fresh_cli_imports_neither_pool_nor_verify(tmp_path):
     ]):
         cfg = write_config(tmp_path, overrides, name=f"config{i}.json")
         argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    # `gains` on a config with `out` but neither gains_out nor --out: its table has no path
+    cfg = write_config(tmp_path, {"sweep": LAMBDA_G_SWEEP, "out": str(tmp_path / "out.csv")},
+                       name="gains.json")
+    argvs.append(["gains", "--config", str(cfg)])
     argvs.append(["sweep", "--help"])
     proc = subprocess.run([sys.executable, "-c", FRESH_CLI] + [json.dumps(a) for a in argvs],
                           env=package_env(), capture_output=True, text=True, timeout=60)
-    assert proc.stdout == f"{[EXIT_CONFIG] * 5 + [EXIT_OK]} [] True\n"
+    assert proc.stdout == f"{[EXIT_CONFIG] * 6 + [EXIT_OK]} [] True\n"
     assert proc.stderr.splitlines() == [
         "config error: n must be an integer in [1, 9007199254740992], got 0",
         "config error: dBm value out of range [-3000, 3000]: 4000.0",
         "config error: lambda_g must be positive and finite, got 0.0",
         "config error: fixed rho0 must be strictly inside (0, 1), got 1.5",
         "config error: sweep values must be strictly increasing",
+        "config error: gains_out must be a non-empty string path, got None",
     ]
 
 
@@ -230,12 +243,22 @@ def test_both_routes_write_one_gains_table_and_each_table_prints_one_wrote_line(
         tmp_path, capsys):
     sweep_csv, gains_a, gains_b, point_csv = (
         str(tmp_path / name) for name in ("s.csv", "ga.csv", "gb.csv", "p.csv"))
-    cfg = str(write_config(tmp_path, {"sweep": LAMBDA_G_SWEEP, "n": 10**5, "gains_out": gains_a}))
-    assert main(["sweep", "--config", cfg, "--out", sweep_csv]) == EXIT_OK
+    cfg = str(write_config(tmp_path, {"sweep": LAMBDA_G_SWEEP, "n": 10**5, "out": sweep_csv,
+                                      "gains_out": gains_a}))
+    assert main(["sweep", "--config", cfg]) == EXIT_OK
     assert capsys.readouterr().out == f"wrote {sweep_csv} (10 rows)\nwrote {gains_a} (2 rows)\n"
+    sweep_bytes, gains_bytes = ((tmp_path / name).read_bytes() for name in ("s.csv", "ga.csv"))
     assert main(["gains", "--config", cfg, "--out", gains_b]) == EXIT_OK
     assert capsys.readouterr().out == f"wrote {gains_b} (2 rows)\n"
-    assert (tmp_path / "ga.csv").read_bytes() == (tmp_path / "gb.csv").read_bytes()
+    assert (tmp_path / "gb.csv").read_bytes() == gains_bytes
+    # `gains` without --out writes the config's gains_out, never its out
+    (tmp_path / "ga.csv").unlink()
+    assert main(["gains", "--config", cfg]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {gains_a} (2 rows)\n"
+    assert (tmp_path / "ga.csv").read_bytes() == gains_bytes
+    assert (tmp_path / "s.csv").read_bytes() == sweep_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "ga.csv", "gb.csv", "s.csv"]
     # `point` prints each policy's estimate as its CSV row gives it, then its wrote line
     assert main(["point", "--config", cfg, "--out", point_csv]) == EXIT_OK
     lines = (tmp_path / "p.csv").read_text().splitlines()
