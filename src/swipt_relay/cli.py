@@ -27,6 +27,10 @@ MAX_N = 2 ** 53
 # An estimate from fewer outage events has a relative error above 10 %; it gets a warning.
 MIN_EVENTS = 100
 
+CONFIG_KEYS = ("p_s_dbm", "sigma_r_sq_dbm", "sigma_p_sq_dbm", "sigma_d_sq_dbm", "rate_bps_hz",
+               "epsilon", "lambda_h", "lambda_g", "policies", "sweep", "n", "seed", "out",
+               "gains_out")
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
@@ -56,6 +60,8 @@ def _load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    if unknown := [key for key in cfg if key not in CONFIG_KEYS]:  # not dropped: it may be a typo
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     return cfg
 
 
@@ -147,8 +153,9 @@ def _sweep_spec(cfg, args):
         sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError('missing "sweep" section with "variable" and "values"')
-    variable = sweep.get("variable")
-    values = sweep.get("values")
+    if unknown := [key for key in sweep if key not in ("variable", "values")]:
+        raise ConfigError(f"unknown sweep key {unknown[0]!r}")
+    variable, values = sweep.get("variable"), sweep.get("values")
     if not variable:
         raise ConfigError('missing sweep "variable"')
     if not isinstance(values, list) or not values:
@@ -169,12 +176,14 @@ def _sweep_spec(cfg, args):
 
 def _parse(args):
     """Check the whole config before any compute starts; every mistake is a ConfigError.
-    Returns (cfg, spec, out, gains_out): the estimates and gains tables' paths, each from
-    its own config key or None, with --out in place of the command's own table's."""
+    Returns (cfg, spec, out, gains_out), each table's path or None. The command's own table
+    is at --out, else, for sweep and gains only, at its config key (out names sweep's)."""
     if args.workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {args.workers}")
     cfg = _load_config(args.config)
     spec = _sweep_spec(cfg, args)
+    if args.command == "point" and args.out is None:
+        raise ConfigError("point writes its table only where --out says, and --out is missing")
     own = "gains_out" if args.command == "gains" else "out"
     tables = {own: _out_path(cfg, own, args.out)}
     if args.command == "sweep" and cfg.get("gains_out") is not None:

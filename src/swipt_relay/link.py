@@ -12,9 +12,9 @@ sigma_d^2. It appears literally only in harvested_power; every other function
 uses the effective destination noise params.sigma_d_eff = sigma_d^2/eps, and
 snr_via_beta, which goes through harvested_power, checks that fold.
 
-Outage and both dynamic policies are written in two |h|^2 terms, returned
-by margin_terms (sr^2, sp^2 the relay's antenna and processing noise, sd^2
-the effective destination noise):
+Outage and both dynamic policies are written in the |h|^2 terms a, q and
+1 + q, which margin_terms returns (sr^2, sp^2 the relay's antenna and
+processing noise, sd^2 the effective destination noise):
 
     a = P_s h^2 - gamma_0 sr^2,        q = sp^2 / (P_s h^2 + sr^2).
 
@@ -31,7 +31,7 @@ independent cross-check of snr().
 
 The functions on the Monte Carlo path (margin_terms, f_of_rho, sigma0_sq,
 conditional_outage, and policy's rules) take an optional out=, a float array
-of the result's shape (a pair for margin_terms) that receives the result and
+of the result's shape (a triple for margin_terms) that receives the result and
 is returned, and where they need intermediates, scratch=, a (float, bool)
 pair of such arrays whose contents they overwrite. Every operation then
 writes into these and is the plain expression's, up to the order of the
@@ -106,18 +106,18 @@ def snr_via_beta(params, h_sq, g_sq, rho):
 
 
 def margin_terms(params, h_sq, out=None):
-    """The terms (a, q) of the module docstring at |h|^2 = h_sq."""
-    a, q = (None, None) if out is None else out
+    """The terms (a, q, 1 + q) of the module docstring at |h|^2 = h_sq."""
+    a, q, p1q = (None,) * 3 if out is None else out
     ps_h = np.multiply(params.p_s, h_sq, out=a)
     q = np.divide(params.sigma_p_sq, np.add(ps_h, params.sigma_r_sq, out=q), out=q)
-    return np.subtract(ps_h, params.gamma_0 * params.sigma_r_sq, out=a), q
+    return np.subtract(ps_h, params.gamma_0 * params.sigma_r_sq, out=a), q, np.add(1.0, q, out=p1q)
 
 
 def f_of_rho(params, h_sq, rho, *, terms=None, out=None):
     """F(rho), the g-independent numerator margin of the outage condition:
     the feasible set is exactly {rho in (0,1) : F(rho) > 0}. terms, if given,
     is margin_terms(params, h_sq); sigma0_sq and conditional_outage take it too."""
-    a, _ = margin_terms(params, h_sq) if terms is None else terms
+    a, *_ = margin_terms(params, h_sq) if terms is None else terms
     rho = np.asarray(rho, dtype=float)
     f = np.multiply(np.subtract(1.0, rho, out=out), a, out=out)
     return np.multiply(rho, np.subtract(f, params.gamma_0 * params.sigma_p_sq, out=out), out=out)
@@ -126,7 +126,7 @@ def f_of_rho(params, h_sq, rho, *, terms=None, out=None):
 def sigma0_sq(params, h_sq, rho, *, terms=None, out=None):
     """Effective noise sigma_0^2(rho); strictly positive on (0, 1] and affine
     decreasing in rho."""
-    _, q = margin_terms(params, h_sq) if terms is None else terms
+    _, q, _ = margin_terms(params, h_sq) if terms is None else terms
     s = np.add(np.subtract(1.0, np.asarray(rho, dtype=float), out=out), q, out=out)
     return np.multiply(params.sigma_d_eff, s, out=out)
 

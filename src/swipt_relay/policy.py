@@ -48,10 +48,10 @@ def full_csi_rho(params, h_sq, g_sq, *, terms=None, out=None, scratch=None):
     loses digits). terms, if given, is margin_terms(params, h_sq), and out and
     scratch are as in link.
     """
-    _, q = margin_terms(params, h_sq) if terms is None else terms
+    _, q, p1q = margin_terms(params, h_sq) if terms is None else terms
     sd, c1 = params.sigma_d_eff, None if scratch is None else scratch[0]
     rho = np.add(np.multiply(g_sq, params.sigma_p_sq, out=out), np.multiply(sd, q, out=c1), out=out)
-    c1 = np.multiply(sd, np.add(1.0, q, out=c1), out=c1)
+    c1 = np.multiply(sd, p1q, out=c1)
     rho = np.sqrt(np.multiply(c1, rho, out=out), out=out)
     return np.divide(c1, np.add(c1, rho, out=out), out=out)
 
@@ -63,12 +63,11 @@ def partial_csi_rho(params, h_sq, *, terms=None, out=None, scratch=None):
     runs on every draw and 1 is written over those where |h|^2 > H0 is false
     (NaN too). Broadcasts; terms, out and scratch as in full_csi_rho."""
     h_sq = np.asarray(h_sq, dtype=float)
-    a, q = margin_terms(params, h_sq) if terms is None else terms
+    a, q, p1q = margin_terms(params, h_sq) if terms is None else terms
     rho = np.empty(np.broadcast(a, q).shape) if out is None else out
-    p1q, mask = (np.empty_like(rho), np.empty(rho.shape, bool)) if scratch is None else scratch
+    mask = np.empty(rho.shape, bool) if scratch is None else scratch[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a <= 0, below H0
         np.divide(params.gamma_0 * params.sigma_p_sq, a, out=rho)
-        np.add(1.0, q, out=p1q)
         np.multiply(p1q, np.add(q, rho, out=rho), out=rho)
         np.subtract(p1q, np.sqrt(rho, out=rho), out=rho)
     harvest = np.logical_not(np.greater(h_sq, h_threshold(params), out=mask), out=mask)  # NaN too
@@ -139,7 +138,7 @@ def oracle_grid_partial(params, h_sq, step: float = 1e-4):
     def loss(rho, a, c, q):
         info = 1.0 - rho
         return -(a * (rho * info) + c * rho) / (info + q)
-    a, q = margin_terms(params, h_sq)
+    a, q, _ = margin_terms(params, h_sq)
     rho, loss_there = _grid_argmin(loss, step, a, -params.gamma_0 * params.sigma_p_sq, q)
     rho = np.where(loss_there < 0.0, rho, 1.0)
     return rho if rho.ndim else float(rho)

@@ -121,8 +121,8 @@ def _mc_batch(args):
 
     So every count equals the unscreened test's. _slices still computes every
     dynamic rho on every draw, for the rho sum and n_tx, and a Fixed rho0's
-    sum is cached per (rho0, size). The screen writes into workspace rows, as
-    _slices does.
+    sum is cached per (rho0, size). The screen writes into _slices' rows, its
+    bound K (1 + q) over the 1 + q row once the policies have read it.
     """
     params, fading, policies, seed, key, batch_idx, size = args
     dynamic = [pol for pol in policies if not isinstance(pol, Fixed)]
@@ -136,11 +136,8 @@ def _mc_batch(args):
     a_min = max(2.0 * k_p / (1.0 - r) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     k_min = max(2.0 * k_d / (r * (1.0 - r)) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     cand, n_tx = [], [0] * len(dynamic)
-    floats, bools = _workspace("slice", 4, CHUNK), _workspace("mask", 2, CHUNK, bool)
-    for s, (a, q, ga, bound), (low, kept) in _slices(params, h_sq, g_sq, dynamic, rows, n_tx,
-                                                     floats, bools):
-        np.less(np.multiply(g_sq[s], a, out=ga),
-                np.multiply(k_min, np.add(1.0, q, out=bound), out=bound), out=kept)
+    for s, (a, _, bound, ga), (low, kept) in _slices(params, h_sq, g_sq, dynamic, rows, n_tx):
+        np.less(np.multiply(g_sq[s], a, out=ga), np.multiply(k_min, bound, out=bound), out=kept)
         idx = np.flatnonzero(np.logical_or(np.less(a, a_min, out=low), kept, out=kept))
         idx += s.start
         cand.append(idx)
@@ -181,21 +178,21 @@ def _fixed_rho_sum(rho0, size):
     return float(np.sum(np.broadcast_to(rho0, size)))
 
 
-def _slices(params, h_sq, g_sq, policies, rows, n_tx, floats, bools):
+def _slices(params, h_sq, g_sq, policies, rows, n_tx):
     """The slice loop of both kernels. Per slice s of CHUNK draws, writes
     policy j's rho over s into rows[j], zeroed where the relay only harvests
     (so a row's np.sum is the rho sum), adds the slice's transmitting draws to
-    n_tx[j], and yields (s, floats, bools) sliced to len(s) elements. floats
-    (a, q, f, ...) and bools (mask, ...) are scratch rows at least that long:
-    (a, q) hold the margin terms of h_sq[s], and the rest are free for the
-    caller until the next slice. g_sq is None when no policy reads |g|^2.
-    Every array operation writes into these rows, so none allocates."""
+    n_tx[j], and yields (s, (a, q, 1 + q, f), (mask, kept)): rows of this
+    thread's slice scratch, which _slices owns, cut to len(s). a, q and 1 + q
+    are the margin terms of h_sq[s]; the caller may overwrite any row until the
+    next slice. g_sq is None when no policy reads |g|^2. Every array operation
+    writes into these rows, so none allocates."""
+    floats, bools = _workspace("slice", 4, CHUNK), _workspace("mask", 2, CHUNK, bool)
     for lo in range(0, len(h_sq), CHUNK):
         s = slice(lo, lo + CHUNK)
         h, g = h_sq[s], None if g_sq is None else g_sq[s]
-        (a, q, f, *_), (mask, *_) = views = ([row[:len(h)] for row in floats],
-                                             [row[:len(h)] for row in bools])
-        terms = margin_terms(params, h, out=(a, q))
+        (*terms, f), (mask, _) = views = [[row[:len(h)] for row in ws] for ws in (floats, bools)]
+        terms = margin_terms(params, h, out=terms)
         for j, pol in enumerate(policies):
             rho = decide_rho(pol, params, h, g, terms=terms, out=rows[j][s], scratch=(f, mask))
             tx = int(np.count_nonzero(np.less(rho, 1.0, out=mask)))
@@ -214,9 +211,8 @@ def _sa_batch(args):
     h_sq, rho, p = _workspace("batch", 3, size)
     sample_gains(substream(seed, *key, batch_idx), fading.lambda_h, size, out=h_sq)
     n_tx = [0]
-    floats, bools = _workspace("slice", 3, CHUNK), _workspace("mask", 1, CHUNK, bool)
-    for s, (a, q, f), (mask,) in _slices(params, h_sq, None, [policy], [rho], n_tx, floats, bools):
-        conditional_outage(params, h_sq[s], rho[s], fading.lambda_g, terms=(a, q), out=p[s],
+    for s, (*terms, f), (mask, _) in _slices(params, h_sq, None, [policy], [rho], n_tx):
+        conditional_outage(params, h_sq[s], rho[s], fading.lambda_g, terms=terms, out=p[s],
                            scratch=(f, mask))
     p_sum = float(np.sum(p))
     return [(p_sum, float(np.sum(np.square(p, out=p))), float(np.sum(rho)), n_tx[0])]

@@ -95,6 +95,8 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     ("point", {"argv": ["--out", "config.json"]}),
     ("gains", {"sweep": LAMBDA_G_SWEEP, "argv": ["--out", "./config.json"]}),
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "config.json"}),
+    ("point", {"epsillon": 0.5}),
+    ("sweep", {"sweep": dict(LAMBDA_G_SWEEP, value=[3.0])}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -106,7 +108,8 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     "gains_out-is-out", "gains_out-is-out-spelled-differently", "workers-not-int",
     "n-not-int", "rate-overflows-gamma_0", "rate-gives-gamma_0-zero",
     "lambda_h-integer-beyond-float", "policies-duplicate", "out-flag-is-config",
-    "gains-out-flag-is-config-spelled-differently", "gains_out-is-config",
+    "gains-out-flag-is-config-spelled-differently", "gains_out-is-config", "key-unknown",
+    "sweep-key-unknown",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing; a
@@ -199,14 +202,18 @@ def test_a_fresh_cli_imports_neither_pool_nor_verify(tmp_path):
     ]):
         cfg = write_config(tmp_path, overrides, name=f"config{i}.json")
         argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
-    # `gains` on a config with `out` but neither gains_out nor --out: its table has no path
+    # `gains` on a config with `out` but neither gains_out nor --out: its table has no path;
+    # `point` without --out on the same config: point's table goes only where --out says
     cfg = write_config(tmp_path, {"sweep": LAMBDA_G_SWEEP, "out": str(tmp_path / "out.csv")},
                        name="gains.json")
-    argvs.append(["gains", "--config", str(cfg)])
+    argvs += [["gains", "--config", str(cfg)], ["point", "--config", str(cfg)]]
+    for i, overrides in enumerate([{"epsillon": 0.5}, {"sweep": dict(LAMBDA_G_SWEEP, value=1)}]):
+        cfg = write_config(tmp_path, overrides, name=f"unknown{i}.json")
+        argvs.append(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
     argvs.append(["sweep", "--help"])
     proc = subprocess.run([sys.executable, "-c", FRESH_CLI] + [json.dumps(a) for a in argvs],
                           env=package_env(), capture_output=True, text=True, timeout=60)
-    assert proc.stdout == f"{[EXIT_CONFIG] * 6 + [EXIT_OK]} [] True\n"
+    assert proc.stdout == f"{[EXIT_CONFIG] * 9 + [EXIT_OK]} [] True\n"
     assert proc.stderr.splitlines() == [
         "config error: n must be an integer in [1, 9007199254740992], got 0",
         "config error: dBm value out of range [-3000, 3000]: 4000.0",
@@ -214,7 +221,23 @@ def test_a_fresh_cli_imports_neither_pool_nor_verify(tmp_path):
         "config error: fixed rho0 must be strictly inside (0, 1), got 1.5",
         "config error: sweep values must be strictly increasing",
         "config error: gains_out must be a non-empty string path, got None",
+        "config error: point writes its table only where --out says, and --out is missing",
+        "config error: unknown config key 'epsillon'",
+        "config error: unknown sweep key 'value'",
     ]
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_point_without_out_exits_1_and_leaves_the_configs_sweep_table(tmp_path, monkeypatch):
+    # the config's out names the sweep table, so point must not write its rows there
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sim, "outage_point", lambda *a, **k: pytest.fail("compute started"))
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_bytes(b"# a sweep table\nsweep_var,sweep_value\n")
+    cfg = write_config(tmp_path, {"out": "sweep.csv"})
+    assert main(["point", "--config", str(cfg)]) == EXIT_CONFIG
+    assert sweep_csv.read_bytes() == b"# a sweep table\nsweep_var,sweep_value\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.csv"]
 
 
 def test_a_sweep_warns_on_stderr_for_each_row_with_fewer_than_100_events(

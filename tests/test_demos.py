@@ -56,3 +56,10 @@ def test_point_csv_bytes_match_recorded_digest(tmp_path, workers):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256((tmp_path / "point.csv").read_bytes()).hexdigest() == POINT_CSV_SHA256
+
+
+def test_the_benchmark_config_is_a_byte_copy_of_the_shipped_config():
+    # perfbench/ runs sweep_config.json as the shipped config, and the point digest
+    # above hashes the shipped config's echo: one cannot change without the other
+    shipped = (ROOT / "demos" / "config.example.json").read_bytes()
+    assert (ROOT / "perfbench" / "sweep_config.json").read_bytes() == shipped

@@ -277,8 +277,9 @@ class TestConditionalOutage:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if into_rows:  # rows that hold stale values, as a reused workspace does
-                a, q, f, out = np.full((4, rho.size), np.nan)
-                got = conditional_outage(p, h, rho, lambda_g, terms=margin_terms(p, h, out=(a, q)),
+                a, q, r, f, out = np.full((5, rho.size), np.nan)
+                got = conditional_outage(p, h, rho, lambda_g,
+                                         terms=margin_terms(p, h, out=(a, q, r)),
                                          out=out, scratch=(f, np.ones(rho.size, bool)))
             else:
                 got = conditional_outage(p, h, rho, lambda_g)
@@ -344,9 +345,14 @@ class TestCoefficientIdentities:
         # the margin terms at P_s = 1e4 mW, noise 0.01 mW, |h|^2 = 1.5 by direct arithmetic
         p = SystemParams(p_s=10000.0, sigma_r_sq=0.01, sigma_p_sq=0.01,
                          sigma_d_sq=0.02, rate=3.0)
-        a, q = margin_terms(p, 1.5)
+        a, q, r = margin_terms(p, 1.5)
         assert a == pytest.approx(15000 - 0.07, rel=1e-15)
         assert q == pytest.approx(0.01 / 15000.01, rel=1e-15)
+        assert r == 1.0 + q  # the third term is 1 + q, bit for bit
+        rows = tuple(np.full((3, 2), np.nan))  # out= takes three rows and returns them
+        got = margin_terms(p, np.full(2, 1.5), out=rows)
+        assert len(got) == 3 and all(term is row for term, row in zip(got, rows))
+        assert [term.tolist() for term in got] == [[a] * 2, [q] * 2, [r] * 2]
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(p_s_dbm=st.floats(20.0, 55.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),

@@ -195,8 +195,8 @@ class TestPartialCsiClosedForm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if into_rows:  # rows that hold stale values, as a reused workspace does
-                a, q, f, rho = np.full((4, h.size), np.nan)
-                rho = partial_csi_rho(p, h, terms=margin_terms(p, h, out=(a, q)), out=rho,
+                a, q, r, f, rho = np.full((5, h.size), np.nan)
+                rho = partial_csi_rho(p, h, terms=margin_terms(p, h, out=(a, q, r)), out=rho,
                                       scratch=(f, np.ones(h.size, bool)))
             else:
                 rho = partial_csi_rho(p, h)
@@ -313,25 +313,25 @@ class TestDecideRho:
         n, rng = len(h), np.random.default_rng(seed)
         # the rows are longer than the slice and hold garbage: specials and
         # huge values, and over their first half what an earlier slice left
-        rows = rng.choice([np.nan, np.inf, -np.inf, -1e308, 0.0, 1.0], size=(4, n + 3))
+        rows = rng.choice([np.nan, np.inf, -np.inf, -1e308, 0.0, 1.0], size=(5, n + 3))
         mask = rng.random(n + 3) < 0.5
         half = (n + 3) // 2
         earlier = h_threshold(params) * 10.0 ** rng.uniform(-2.0, 2.0, half)
         conditional_outage(params, earlier, partial_csi_rho(params, earlier), lambda_g,
-                           terms=margin_terms(params, earlier, out=(rows[0, :half], rows[1, :half])),
-                           out=rows[2, :half], scratch=(rows[3, :half], mask[:half]))
+                           terms=margin_terms(params, earlier, out=tuple(rows[:3, :half])),
+                           out=rows[3, :half], scratch=(rows[4, :half], mask[:half]))
         junk, junk_mask = rows.copy(), mask.copy()
-        a, q, out, t = (row[:n] for row in rows)
+        a, q, r, out, t = (row[:n] for row in rows)
         scratch = (t, mask[:n])
 
         def assert_writes_out(fn, *args, **kwargs):
             """fn(*args) into out, with out and scratch as the earlier slice left them."""
-            rows[2:], mask[:] = junk[2:], junk_mask
+            rows[3:], mask[:] = junk[3:], junk_mask
             got = fn(*args, **kwargs, out=out)
             assert got is out
             assert got.tobytes() == np.asarray(fn(*args)).tobytes()
 
-        terms = margin_terms(params, h, out=(a, q))
+        terms = margin_terms(params, h, out=(a, q, r))
         assert terms[0] is a and terms[1] is q
         for got, expected in zip(terms, margin_terms(params, h)):
             assert got.tobytes() == np.asarray(expected).tobytes()
