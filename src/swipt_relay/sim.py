@@ -1,4 +1,6 @@
-"""Monte Carlo, semi-analytic and exact outage estimation, gain metrics, sweeps.
+"""Monte Carlo, semi-analytic and exact outage estimation, gain metrics, sweeps. The
+exact route broadcasts over operating points, each value its own up to the order of its
+sum: the panels that pad a point to the widest point's have zero width (outage_exact).
 
 Determinism contract: every estimate is a pure function of (seed, n) plus the
 static parameters. Realizations are partitioned into fixed-size batches and
@@ -47,6 +49,7 @@ __all__ = [
     "outage_point",
     "outage_semi_analytic",
     "outage_exact",
+    "operating_points",
     "gain_eta",
     "horizontal_gain_db",
     "run_sweep",
@@ -64,6 +67,8 @@ BATCH_SIZE = 1 << 19
 CHUNK = 1 << 15
 
 EXACT_NODES = 24  # Gauss-Legendre nodes per outage_exact panel; 32 moves it < 5e-13
+# SystemParams' fields in a record of operating points (operating_points, verify._view)
+POINT_FIELDS = ("p_s", "sigma_r_sq", "sigma_p_sq", "sigma_d_sq", "epsilon", "gamma_0", "sigma_d_eff")
 
 # Relative slack on the outage screen's two bounds (see _mc_batch).
 SCREEN_SLACK = 1e-9
@@ -304,21 +309,37 @@ def outage_semi_analytic(params, fading, policy, n_h, seed) -> OutageEstimate:
     return _estimates(_map_batches(_sa_batch, [(head, ())], n_h, seed, 1)[0], n_h, std_err)[0]
 
 
-def outage_exact(params, fading, policy) -> float:
+def operating_points(configs):
+    """The (SystemParams, FadingParams) pairs of configs as one record array of points."""
+    rows = [(*(getattr(p, n) for n in POINT_FIELDS), f.lambda_h, f.lambda_g) for p, f in configs]
+    return np.rec.array(rows, dtype=[(n, float) for n in POINT_FIELDS + ("lambda_h", "lambda_g")])
+
+
+def outage_exact(params, fading, policy):
     """Exact outage: outage_semi_analytic's integrand times the |h|^2 density, summed on
     Gauss-Legendre panels with edges at h_c + h_c 10^k (k >= -3) up to h_c + 40 lambda_h;
-    below h_c = h_threshold(params, rho0), or H0 for a dynamic policy, outage is certain."""
+    below h_c = h_threshold(params, rho0), or H0 for a dynamic policy, outage is certain.
+    Broadcasts over points (operating_points): each point's edges are capped at 40 lambda_h,
+    so its panels past its own have zero width and add 0; only its sum's order moves."""
     from numpy.polynomial.legendre import leggauss  # 3 ms to import: not at start-up
     if isinstance(policy, FullCSI):  # it fails on exactly the draws PartialCSI fails on
         policy = PartialCSI()
-    lam = fading.lambda_h
-    h_c = h_threshold(params, policy.rho0 if isinstance(policy, Fixed) else 0.0)
-    edges = np.r_[0.0, h_c * 10.0 ** np.arange(-3.0, math.log10(40.0 * lam / h_c)), 40.0 * lam]
-    t, w = leggauss(EXACT_NODES)
-    half = 0.5 * np.diff(edges)[:, None]  # one panel per row; edges are offsets from h_c
-    h, w = (h_c + edges[:-1, None] + half * (1.0 + t)).ravel(), (half * w).ravel()
+    lam, rho0 = fading.lambda_h, getattr(policy, "rho0", 0.0)  # H0 is h_c at rho0 = 0
+    with np.errstate(all="ignore"):  # h_c may over- or underflow: refused below
+        h_c, top = np.broadcast_arrays(h_threshold(params, rho0), 40.0 * lam)
+        bad = ~np.isfinite(np.log(top / h_c))  # h_c is 0, inf or NaN
+    if bad.any():
+        raise ValueError(f"outage_exact needs 0 < 40 lambda_h/h_c < inf, got h_c = {h_c[bad][0]}"
+                         + (f" at point {np.argmax(bad)}" if h_c.ndim else ""))
+    decades = 10.0 ** np.arange(-3.0, math.log10(np.max(top / h_c)))
+    edges = np.stack([np.zeros_like(top), *np.minimum(np.multiply.outer(decades, h_c), top), top])
+    t, w = (x.reshape((-1,) + (1,) * h_c.ndim) for x in leggauss(EXACT_NODES))
+    half = 0.5 * np.diff(edges, axis=0)[:, None]  # axes (panel, node, *points); offsets from h_c
+    h, w = h_c + edges[:-1, None] + half * (1.0 + t), half * w
     p = conditional_outage(params, h, decide_rho(policy, params, h, None), fading.lambda_g)
-    return min(1.0, -math.expm1(-h_c / lam) + float(np.sum(w * np.exp(-h / lam) * p)) / lam)
+    terms = np.moveaxis(w * np.exp(-h / lam) * p, (0, 1), (-2, -1)).copy()  # pairwise per point
+    p = np.minimum(1.0, -np.expm1(-h_c / lam) + np.sum(terms, axis=(-2, -1)) / lam)
+    return float(p) if p.ndim == 0 else p
 
 
 def gain_eta(p_out_x: float, p_out_ref: float) -> float:

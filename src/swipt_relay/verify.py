@@ -33,7 +33,7 @@ from .policy import (
     oracle_grid_partial,
     partial_csi_rho,
 )
-from .sim import outage_mc, outage_semi_analytic, thread_map
+from .sim import POINT_FIELDS, outage_mc, outage_semi_analytic, thread_map
 
 __all__ = [
     "BatteryResult",
@@ -54,8 +54,6 @@ SNR_DRAWS_PER_POINT = 100  # snr_identity instances that share one operating poi
 _PARAM_LO = np.array([20.0, -30.0, -30.0, -30.0, 0.2])
 _PARAM_HI = np.array([50.0, -10.0, -10.0, -10.0, 1.0])
 _LOG_GAIN = (np.log(0.01), np.log(10.0))
-_VIEW_FIELDS = ("p_s", "sigma_r_sq", "sigma_p_sq", "sigma_d_sq", "epsilon",
-                "gamma_0", "sigma_d_eff")
 
 
 @dataclass(frozen=True)
@@ -73,19 +71,15 @@ def _scale(u, low, high):
 
 
 def _view(u):
-    """One record array of the instances drawn as rows of five standard uniforms
-    (draw order above): view.p_s holds every P_s, and so on, so link and policy
-    functions broadcast over it unchanged. The four dBm columns take one
+    """The instances drawn as rows of five standard uniforms (draw order above) as one
+    record array with the fields of sim.POINT_FIELDS: view.p_s holds every P_s, and so
+    on, so link and policy functions broadcast over it unchanged. The four dBm columns take one
     dbm_to_linear call, which keeps the scalar conversion's bits, sigma_d_eff
     is the division SystemParams does, and gamma_0 is read from SystemParams."""
     scaled = _scale(u, _PARAM_LO, _PARAM_HI)
-    view = np.recarray(len(scaled), dtype=[(f, float) for f in _VIEW_FIELDS])
-    for field, linear in zip(_VIEW_FIELDS, dbm_to_linear(scaled[:, :4]).T):
-        view[field] = linear
-    view.epsilon = scaled[:, 4]
-    view.gamma_0 = SystemParams(1.0, 1.0, 1.0, 1.0, rate=DEFAULT_RATE).gamma_0
-    view.sigma_d_eff = view.sigma_d_sq / view.epsilon
-    return view
+    linear, eps = dbm_to_linear(scaled[:, :4]).T, scaled[:, 4]
+    gamma_0 = np.full_like(eps, SystemParams(1.0, 1.0, 1.0, 1.0, rate=DEFAULT_RATE).gamma_0)
+    return np.rec.fromarrays([*linear, eps, gamma_0, linear[3] / eps], names=POINT_FIELDS)
 
 
 def _worst(x):

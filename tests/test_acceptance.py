@@ -34,6 +34,7 @@ from swipt_relay.sim import (
     gain_eta,
     gains_from_sweep,
     horizontal_gain_db,
+    operating_points,
     outage_exact,
     outage_mc,
     outage_point,
@@ -160,12 +161,11 @@ def test_criterion_5_power_sweep_gains(fig2_curves):
     p_full_50 = dict(dyn)[50.0]
     p_par_50 = dict(par)[50.0]
     elapsed = time.time() - t0
-    # exact curves on the same grid
-    exact = {pol: [] for pol in (FullCSI(), Fixed(0.8), Fixed(0.6), Fixed(0.4))}
-    for v in PS_GRID_DBM:
-        params = dataclasses.replace(REF_PARAMS, p_s=dbm_to_linear(float(v)))
-        for pol, curve in exact.items():
-            curve.append((float(v), outage_exact(params, REF_FADING, pol)))
+    # exact curves on the same grid, one call per policy
+    points = operating_points([(dataclasses.replace(REF_PARAMS, p_s=dbm_to_linear(float(v))),
+                                REF_FADING) for v in PS_GRID_DBM])
+    exact = {pol: list(zip(PS_GRID_DBM.tolist(), outage_exact(points, points, pol).tolist()))
+             for pol in (FullCSI(), Fixed(0.8), Fixed(0.6), Fixed(0.4))}
     exact_gains = "/".join(
         f"{horizontal_gain_db(exact[FullCSI()], exact[Fixed(rho0)], 50.0):.3f}"
         for rho0 in (0.8, 0.6, 0.4)
@@ -208,12 +208,10 @@ def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep, checked_outage):
     # Sign and order margins are far below the MC resolution at n=1e6 (about
     # 45 outage events per point), so they are judged on exact outage and the
     # MC sweep is tied to it within 3 sigma.
-    exact = {}
-    for g in gains:
-        fading = dataclasses.replace(REF_FADING, lambda_g=g.sweep_value)
-        exact[g.sweep_value] = {
-            rho0: outage_exact(REF_PARAMS, fading, Fixed(rho0)) for rho0 in (0.4, 0.6, 0.8)
-        }
+    points = operating_points([(REF_PARAMS, dataclasses.replace(REF_FADING, lambda_g=g.sweep_value))
+                               for g in gains])
+    by_rho0 = {rho0: outage_exact(points, points, Fixed(rho0)).tolist() for rho0 in (0.4, 0.6, 0.8)}
+    exact = {g.sweep_value: {rho0: p[i] for rho0, p in by_rho0.items()} for i, g in enumerate(gains)}
     eta_06 = {v: gain_eta(e[0.6], e[0.4]) for v, e in exact.items()}
     eta_08 = {v: gain_eta(e[0.8], e[0.4]) for v, e in exact.items()}
     order_ok = all(eta_06[v] > eta_08[v] for v in exact if v >= 4)

@@ -36,6 +36,7 @@ from swipt_relay.sim import (
     gain_eta,
     gains_from_sweep,
     horizontal_gain_db,
+    operating_points,
     outage_exact,
     outage_mc,
     outage_point,
@@ -509,9 +510,54 @@ class TestOutageExact:
                 checked_outage(p, fading, name), rel=1e-9, abs=0.0)
 
     def test_full_csi_has_the_partial_csi_value(self, ref_params, ref_fading):
-        for p_s_dbm in (20.0, 40.0, 55.0):
-            p = dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s_dbm))
-            assert outage_exact(p, ref_fading, FullCSI()) == outage_exact(p, ref_fading, PartialCSI())
+        points = operating_points([(dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s_dbm)),
+                                    ref_fading) for p_s_dbm in (20.0, 40.0, 55.0)])
+        full = outage_exact(points, points, FullCSI())
+        assert full.tolist() == outage_exact(points, points, PartialCSI()).tolist()
+
+    @pytest.mark.parametrize("p_s_dbm,epsilon,lambda_g,name,bits", [
+        (40.0, 1.0, 1.5, "full_csi", "0x1.afde7742ac89fp-14"),
+        (20.0, 0.5, 9.0, "partial_csi", "0x1.f004ad10b73ebp-9"),
+        (50.0, 1.0, 9.0, "fixed:0.8", "0x1.46e15a3872188p-18"),
+    ])
+    def test_one_point_keeps_its_bits(self, ref_params, p_s_dbm, epsilon, lambda_g, name, bits):
+        # the values of the one-point route before it broadcast over arrays of points
+        p = dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s_dbm), epsilon=epsilon)
+        assert outage_exact(p, FadingParams(1.5, lambda_g), parse_policy(name)).hex() == bits
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(points=st.lists(st.tuples(st.tuples(*[st.floats(-30.0, -10.0)] * 3), st.floats(0.1, 1.0),
+                                     st.floats(0.5, 4.0), st.floats(20.0, 55.0),
+                                     st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+                           min_size=1, max_size=12),
+           rho0=st.floats(0.05, 0.95))
+    def test_an_array_of_points_gives_each_point_its_one_point_value(self, points, rho0):
+        configs = [(SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=dbm_to_linear(sr),
+                                 sigma_p_sq=dbm_to_linear(sp), sigma_d_sq=dbm_to_linear(sd),
+                                 rate=rate, epsilon=epsilon), FadingParams(lambda_h, lambda_g))
+                   for (sr, sp, sd), epsilon, rate, p_s_dbm, lambda_h, lambda_g in points]
+        records = operating_points(configs)
+        for policy in (FullCSI(), PartialCSI(), Fixed(rho0)):
+            array = outage_exact(records, records, policy)
+            assert array.shape == (len(configs),)
+            # padding to the widest point reorders each sum: a few ulps, no more
+            assert array.tolist() == pytest.approx(
+                [outage_exact(p, f, policy) for p, f in configs], rel=1e-14, abs=0.0)
+
+    # P_s = -100 dBm, sigma_r^2 = 100 dBm, R = 1000 overflow h_c to inf, and
+    # P_s = 3000 dBm, sigma_r^2 = sigma_p^2 = -3000 dBm underflow it to 0
+    @pytest.mark.parametrize("p_s,sr,sp,rate,h_c", [
+        (-100.0, 100.0, -20.0, 1000.0, "inf"), (3000.0, -3000.0, -3000.0, 3.0, "0.0")],
+        ids=["h_c-inf", "h_c-0"])
+    def test_refuses_an_h_c_outside_its_domain(self, ref_params, ref_fading, p_s, sr, sp, rate, h_c):
+        bad = dataclasses.replace(ref_params, p_s=dbm_to_linear(p_s), sigma_r_sq=dbm_to_linear(sr),
+                                  sigma_p_sq=dbm_to_linear(sp), rate=rate)
+        for policy in (PartialCSI(), Fixed(0.5)):
+            with pytest.raises(ValueError, match=rf"got h_c = {h_c}$"):
+                outage_exact(bad, ref_fading, policy)
+            points = operating_points([(ref_params, ref_fading), (bad, ref_fading)])
+            with pytest.raises(ValueError, match=rf"got h_c = {h_c} at point 1$"):
+                outage_exact(points, points, policy)
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["partial_csi", "fixed"])
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -526,13 +572,14 @@ class TestOutageExact:
         policy = Fixed(rho0) if fixed else PartialCSI()
         sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
 
-        def outage(p_s_dbm=p_s_dbm[0], lambda_h=lambda_h[0], lambda_g=lambda_g[0]):
+        def point(p_s_dbm=p_s_dbm[0], lambda_h=lambda_h[0], lambda_g=lambda_g[0]):
             params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
                                   sigma_d_sq=sd, rate=rate, epsilon=epsilon)
-            return outage_exact(params, FadingParams(lambda_h, lambda_g), policy)
+            return params, FadingParams(lambda_h, lambda_g)
 
         for name, values in (("p_s_dbm", p_s_dbm), ("lambda_h", lambda_h), ("lambda_g", lambda_g)):
-            curve = [outage(**{name: v}) for v in sorted(values)]
+            points = operating_points([point(**{name: v}) for v in sorted(values)])
+            curve = outage_exact(points, points, policy).tolist()
             assert all(b <= a for a, b in zip(curve, curve[1:])), (name, sorted(values), curve)
 
     @pytest.mark.parametrize("name", ["partial_csi", "fixed:0.4", "fixed:0.8"])

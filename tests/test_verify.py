@@ -2,14 +2,13 @@ import os
 import subprocess
 import sys
 import threading
-from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from conftest import package_env
 from swipt_relay import policy, verify
-from swipt_relay.channel import substream
+from swipt_relay.channel import FadingParams, substream
 from swipt_relay.link import f_of_rho, h_threshold, snr, w_ratio
 from swipt_relay.params import SystemParams, dbm_to_linear
 from swipt_relay.policy import (
@@ -18,6 +17,7 @@ from swipt_relay.policy import (
     oracle_grid_partial,
     partial_csi_rho,
 )
+from swipt_relay.sim import POINT_FIELDS, operating_points
 from swipt_relay.verify import (
     DEFAULT_RATE,
     STEP,
@@ -51,7 +51,8 @@ def test_partial_csi_battery_accepts_a_feasible_interval_narrower_than_the_grid(
 
     # the battery's draw step hands over this one instance
     monkeypatch.setattr(verify, "_draw_partial",
-                        lambda rng, count: (_stack([params]), np.array([h_sq])))
+                        lambda rng, count: (operating_points([(params, FadingParams(1.0, 1.0))]),
+                                           np.array([h_sq])))
     result = battery_partial_csi(count=1)
     assert result.passed, result.detail
     assert "bad_infeasible=0" in result.detail
@@ -145,17 +146,9 @@ def _scalar_partial(count, seed):
     return rows, detail
 
 
-def _stack(params):
-    """The record view of SystemParams instances, as verify's draws give it:
-    every field of verify._VIEW_FIELDS, read from the instances."""
-    get = attrgetter(*verify._VIEW_FIELDS)
-    return np.array([get(p) for p in params],
-                    dtype=[(f, float) for f in verify._VIEW_FIELDS]).view(np.recarray)
-
-
 def _assert_view_holds(view, params):
     """The record view has, field by field, the parameters of the scalar loop."""
-    for field in verify._VIEW_FIELDS:
+    for field in POINT_FIELDS:
         assert view[field].tolist() == [getattr(p, field) for p in params]
 
 
