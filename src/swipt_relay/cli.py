@@ -41,7 +41,8 @@ GAINS_HEADER = "sweep_value,eta_full,eta_par,eta_rho06,eta_rho08"
 
 
 def run_sweep(spec, workers=1):
-    """sim.run_sweep, imported on the first call: config checks load no numpy."""
+    """sim.run_sweep, imported on the first call, as cmd_point imports outage_point. It stays
+    a wrapper only for perfbench/spans.py's sim.run_sweep span; ROADMAP item 1 deletes it."""
     from .sim import run_sweep
     return run_sweep(spec, workers)
 

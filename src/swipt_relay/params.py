@@ -193,16 +193,12 @@ class SweepSpec:
         twice = [p for i, p in enumerate(self.policies) if p in self.policies[:i]]
         if twice:  # its rows would repeat, and the gains table would keep only one
             raise ConfigError(f"policy {policy_name(twice[0])} is listed twice")
-        for value in self.values:  # every point's params must be valid up front
-            _point_config(self, value)
+        self.points  # builds, and so checks, every point's params up front
 
-
-def _point_config(spec: SweepSpec, value):
-    params, fading = spec.params, spec.fading
-    if spec.variable == "p_s_dbm":
-        params = replace(params, p_s=dbm_to_linear(float(value)))
-    elif spec.variable == "lambda_h":
-        fading = replace(fading, lambda_h=float(value))
-    else:
-        fading = replace(fading, lambda_g=float(value))
-    return params, fading
+    @property
+    def points(self) -> tuple:
+        """(SystemParams, FadingParams) per value, in order: p_s_dbm sets p_s through
+        dbm_to_linear, lambda_h or lambda_g the FadingParams field of that name."""
+        p, f, var = self.params, self.fading, self.variable
+        return tuple((replace(p, p_s=dbm_to_linear(float(v))), f) if var == "p_s_dbm"
+                     else (p, replace(f, **{var: float(v)})) for v in self.values)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .channel import sample_channels, sample_gains, substream
 from .link import conditional_outage, h_threshold, margin_terms, snr
-from .params import GAIN_BASELINE, GAIN_POLICIES, SweepSpec, _point_config
+from .params import GAIN_BASELINE, GAIN_POLICIES, SweepSpec
 from .policy import Fixed, FullCSI, PartialCSI, Policy, decide_rho, policy_name
 
 __all__ = [
@@ -279,8 +279,8 @@ def _mc_estimates(per_batch, n):
 
 
 def outage_point(params, fading, policies, gamma_0, n, seed, workers=1):
-    """Monte Carlo outage for several policies on shared channel draws, one
-    OutageEstimate per policy in order. gamma_0 must equal params.gamma_0."""
+    """Monte Carlo outage, one OutageEstimate per policy in order, on shared draws. gamma_0 must
+    equal params.gamma_0; perfbench/workloads.py passes it, and ROADMAP item 1 drops the slot."""
     if gamma_0 != params.gamma_0:
         raise ValueError(f"gamma_0={gamma_0!r} is not params.gamma_0={params.gamma_0!r}")
     head = (params, fading, tuple(policies))
@@ -311,8 +311,9 @@ def outage_semi_analytic(params, fading, policy, n_h, seed) -> OutageEstimate:
 
 def operating_points(configs):
     """The (SystemParams, FadingParams) pairs of configs as one record array of points."""
+    names = POINT_FIELDS + ("lambda_h", "lambda_g")
     rows = [(*(getattr(p, n) for n in POINT_FIELDS), f.lambda_h, f.lambda_g) for p, f in configs]
-    return np.rec.array(rows, dtype=[(n, float) for n in POINT_FIELDS + ("lambda_h", "lambda_g")])
+    return np.array(rows, [(n, float) for n in names]).view(np.recarray)  # np.rec.array refuses []
 
 
 def outage_exact(params, fading, policy):
@@ -320,7 +321,8 @@ def outage_exact(params, fading, policy):
     Gauss-Legendre panels with edges at h_c + h_c 10^k (k >= -3) up to h_c + 40 lambda_h;
     below h_c = h_threshold(params, rho0), or H0 for a dynamic policy, outage is certain.
     Broadcasts over points (operating_points): each point's edges are capped at 40 lambda_h,
-    so its panels past its own have zero width and add 0; only its sum's order moves."""
+    so its panels past its own have zero width and add 0; only its sum's order moves. It
+    holds about 20 KiB per point at once (20-55 dBm), so pass a few thousand points per call."""
     from numpy.polynomial.legendre import leggauss  # 3 ms to import: not at start-up
     if isinstance(policy, FullCSI):  # it fails on exactly the draws PartialCSI fails on
         policy = PartialCSI()
@@ -331,7 +333,8 @@ def outage_exact(params, fading, policy):
     if bad.any():
         raise ValueError(f"outage_exact needs 0 < 40 lambda_h/h_c < inf, got h_c = {h_c[bad][0]}"
                          + (f" at point {np.argmax(bad)}" if h_c.ndim else ""))
-    decades = 10.0 ** np.arange(-3.0, math.log10(np.max(top / h_c)))
+    widest = np.max(top / h_c, initial=1e-3)  # 1e-3 adds no decade: an empty record has none
+    decades = 10.0 ** np.arange(-3.0, math.log10(widest))
     edges = np.stack([np.zeros_like(top), *np.minimum(np.multiply.outer(decades, h_c), top), top])
     t, w = (x.reshape((-1,) + (1,) * h_c.ndim) for x in leggauss(EXACT_NODES))
     half = 0.5 * np.diff(edges, axis=0)[:, None]  # axes (panel, node, *points); offsets from h_c
@@ -390,8 +393,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple:
     one map, so a sweep starts at most one thread pool; results are split back
     per point in plan order, so point i's estimates depend only on its own batches.
     """
-    configs = [_point_config(spec, value) for value in spec.values]
-    plan = [((p, f, tuple(spec.policies)), (i,)) for i, (p, f) in enumerate(configs)]
+    plan = [((p, f, tuple(spec.policies)), (i,)) for i, (p, f) in enumerate(spec.points)]
     per_point = _map_batches(_mc_batch, plan, spec.n, spec.seed, workers)
     return tuple(
         SweepRow(sweep_value=float(value), policy=pol, estimate=est)

@@ -59,6 +59,12 @@ REF_PARAMS = SystemParams(
 REF_FADING = FadingParams(lambda_h=1.5, lambda_g=1.5)
 POLICIES = (FullCSI(), PartialCSI(), Fixed(0.4), Fixed(0.6), Fixed(0.8))
 PS_GRID_DBM = np.arange(46.0, 54.25, 0.5)
+# criterion 6's sweep: its MC rows and its exact values read the same points
+LAMBDA_G_SPEC = SweepSpec(
+    variable="lambda_g", values=tuple(float(v) for v in range(1, 11)),
+    params=REF_PARAMS, fading=REF_FADING, policies=POLICIES,
+    n=10**6, seed=SEED,
+)
 
 
 def check(name, ok, detail=""):
@@ -91,12 +97,7 @@ def curve_points(curves, name):
 
 @pytest.fixture(scope="module")
 def lambda_g_sweep():
-    spec = SweepSpec(
-        variable="lambda_g", values=tuple(float(v) for v in range(1, 11)),
-        params=REF_PARAMS, fading=REF_FADING, policies=POLICIES,
-        n=10**6, seed=SEED,
-    )
-    return run_sweep(spec)
+    return run_sweep(LAMBDA_G_SPEC)
 
 
 @pytest.fixture(scope="module")
@@ -208,10 +209,10 @@ def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep, checked_outage):
     # Sign and order margins are far below the MC resolution at n=1e6 (about
     # 45 outage events per point), so they are judged on exact outage and the
     # MC sweep is tied to it within 3 sigma.
-    points = operating_points([(REF_PARAMS, dataclasses.replace(REF_FADING, lambda_g=g.sweep_value))
-                               for g in gains])
+    points = operating_points(LAMBDA_G_SPEC.points)
     by_rho0 = {rho0: outage_exact(points, points, Fixed(rho0)).tolist() for rho0 in (0.4, 0.6, 0.8)}
-    exact = {g.sweep_value: {rho0: p[i] for rho0, p in by_rho0.items()} for i, g in enumerate(gains)}
+    exact = {v: {rho0: p[i] for rho0, p in by_rho0.items()}
+             for i, v in enumerate(LAMBDA_G_SPEC.values)}
     eta_06 = {v: gain_eta(e[0.6], e[0.4]) for v, e in exact.items()}
     eta_08 = {v: gain_eta(e[0.8], e[0.4]) for v, e in exact.items()}
     order_ok = all(eta_06[v] > eta_08[v] for v in exact if v >= 4)
@@ -220,9 +221,8 @@ def test_criterion_6_gain_trends_vs_lambda_g(lambda_g_sweep, checked_outage):
     # package, to far below the smallest margin the claims rest on
     err_limit = 1e-3 * abs(eta_08[9.0])
     engine_gap = max(
-        abs(p_out / checked_outage(REF_PARAMS, dataclasses.replace(REF_FADING, lambda_g=v),
-                                   f"fixed:{rho0}") - 1.0)
-        for v, e in exact.items() for rho0, p_out in e.items()
+        abs(p[i] / checked_outage(params, fading, f"fixed:{rho0}") - 1.0)
+        for i, (params, fading) in enumerate(LAMBDA_G_SPEC.points) for rho0, p in by_rho0.items()
     )
     engine_ok = engine_gap < err_limit
     z_max = max(

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import package_env
+from conftest import SRC, package_env
 
 MODULES = ["params", "link", "policy", "sim", "channel", "verify"]
 
@@ -42,3 +43,14 @@ def test_every_package_name_resolves_and_the_config_names_load_no_numpy():
     proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=package_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout == "False\n[]\n", proc.stderr
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a _name belongs to its module; a name another module needs is public
+    imported = [f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "swipt_relay")
+                for alias in node.names if alias.name.startswith("_")]
+    assert imported == []

@@ -6,6 +6,9 @@ import pytest
 from swipt_relay import verify
 from swipt_relay.params import (
     ConfigError,
+    FadingParams,
+    Fixed,
+    SweepSpec,
     SystemParams,
     dbm_to_linear,
     validate,
@@ -171,3 +174,48 @@ class TestSystemParamsInvariants:
         p = validate(REF_CONFIG)
         with pytest.raises(Exception):
             p.p_s = 1.0
+
+
+class TestSweepPoints:
+    PARAMS = validate(REF_CONFIG)
+    FADING = FadingParams(lambda_h=1.5, lambda_g=2.5)
+
+    def spec(self, variable, values):
+        return SweepSpec(variable=variable, values=values, params=self.PARAMS, fading=self.FADING,
+                         policies=(Fixed(0.4),), n=10, seed=1)
+
+    def by_hand(self, variable, v):
+        """The point of sweep value v, built from the constructors and 10 ** (v / 10)."""
+        p, f = self.PARAMS, self.FADING
+        p_s = 10.0 ** (v / 10.0) if variable == "p_s_dbm" else p.p_s
+        return (SystemParams(p_s=p_s, sigma_r_sq=p.sigma_r_sq, sigma_p_sq=p.sigma_p_sq,
+                             sigma_d_sq=p.sigma_d_sq, rate=p.rate, epsilon=p.epsilon),
+                FadingParams(lambda_h=float(v) if variable == "lambda_h" else f.lambda_h,
+                             lambda_g=float(v) if variable == "lambda_g" else f.lambda_g))
+
+    @pytest.mark.parametrize("variable,values", [
+        ("p_s_dbm", (-20, 17.3, 40.0, 55)),
+        ("lambda_h", (0.1, 1, 9.75)),
+        ("lambda_g", (1e-3, 2, 1e3)),
+    ])
+    def test_each_value_gives_its_hand_built_pair(self, variable, values):
+        points = self.spec(variable, values).points
+        assert len(points) == len(values)
+        for got, want in zip(points, (self.by_hand(variable, v) for v in values)):
+            for got_part, want_part in zip(got, want):
+                assert type(got_part) is type(want_part)
+                fields = list(vars(want_part))
+                # bit for bit: .hex() tells every float apart, -0.0 from 0.0 too
+                assert [float(getattr(got_part, k)).hex() for k in fields] == \
+                    [float(getattr(want_part, k)).hex() for k in fields]
+                assert [type(getattr(got_part, k)) for k in fields] == [float] * len(fields)
+
+    @pytest.mark.parametrize("variable,values,message", [
+        ("lambda_g", (0.0, 1.0), "lambda_g must be positive and finite, got 0.0"),
+        ("lambda_h", (0.5, float("inf")), "lambda_h must be positive and finite, got inf"),
+        ("p_s_dbm", (40.0, 3000.5), re.escape("dBm value out of range [-3000, 3000]: 3000.5")),
+        ("p_s_dbm", (-3001.0, 40.0), re.escape("dBm value out of range [-3000, 3000]: -3001.0")),
+    ], ids=["lambda_g-0", "lambda_h-inf", "p_s_dbm-above", "p_s_dbm-below"])
+    def test_a_bad_value_is_refused_when_the_spec_is_built(self, variable, values, message):
+        with pytest.raises(ConfigError, match=message):
+            self.spec(variable, values)

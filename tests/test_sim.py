@@ -591,6 +591,19 @@ class TestOutageExact:
         p = outage_exact(params, FadingParams(1e-3, 1e-3), parse_policy(name))
         assert 1.0 - 1e-12 < p <= 1.0
 
+    def test_no_pairs_give_a_zero_length_record_with_the_same_fields(self, ref_params, ref_fading):
+        empty, one = operating_points([]), operating_points([(ref_params, ref_fading)])
+        assert (empty.shape, one.shape) == ((0,), (1,))
+        assert empty.dtype == one.dtype
+        assert empty.dtype.names == sim.POINT_FIELDS + ("lambda_h", "lambda_g")
+
+    @pytest.mark.parametrize("policy", [FullCSI(), PartialCSI(), Fixed(0.4)],
+                             ids=["full_csi", "partial_csi", "fixed"])
+    def test_a_zero_length_record_gives_an_empty_array(self, ref_params, ref_fading, policy):
+        points = operating_points([(ref_params, ref_fading)])[:0]
+        p = outage_exact(points, points, policy)
+        assert (type(p), p.dtype, p.shape) == (np.ndarray, np.dtype(float), (0,))
+
     def test_takes_params_fading_policy_and_returns_a_float(self, ref_params, ref_fading):
         assert list(inspect.signature(outage_exact).parameters) == ["params", "fading", "policy"]
         assert type(outage_exact(ref_params, ref_fading, Fixed(0.5))) is float
@@ -682,6 +695,15 @@ class TestRunSweep:
         )
         assert run_sweep(spec) == run_sweep(spec)
         assert run_sweep(spec) == run_sweep(spec, workers=2)
+
+    def test_plans_over_the_points_of_its_spec(self, monkeypatch, ref_params, ref_fading):
+        plans = []
+        monkeypatch.setattr(sim, "_map_batches",
+                            lambda fn, plan, n, seed, workers: plans.append(plan) or [[]] * len(plan))
+        spec = SweepSpec(variable="lambda_h", values=(1.0, 2.0, 4.0), params=ref_params,
+                         fading=ref_fading, policies=self.POLICIES, n=10, seed=1)
+        run_sweep(spec)
+        assert plans == [[((p, f, self.POLICIES), (i,)) for i, (p, f) in enumerate(spec.points)]]
 
     def test_values_must_increase(self, ref_params, ref_fading):
         with pytest.raises(ValueError):
