@@ -9,25 +9,21 @@ noisy at this sample size; raise n for smoother numbers.
 
 Run:  python3 demos/gain_vs_fading.py          (~30 s at n=300k per point)
 """
-from swipt_relay.channel import FadingParams
-from swipt_relay.params import SystemParams, dbm_to_linear
-from swipt_relay.policy import Fixed, FullCSI, PartialCSI
-from swipt_relay.sim import GAIN_POLICIES, SweepSpec, gains_from_sweep, run_sweep
+import json
+from pathlib import Path
 
-params = SystemParams(
-    p_s=dbm_to_linear(40.0),
-    sigma_r_sq=dbm_to_linear(-20.0),
-    sigma_p_sq=dbm_to_linear(-20.0),
-    sigma_d_sq=dbm_to_linear(-17.0),
-    rate=3.0,
-)
+from swipt_relay.params import GAIN_POLICIES, FadingParams, SweepSpec, parse_policy, validate
+from swipt_relay.sim import gains_from_sweep, run_sweep
+
+# the shipped operating point and policies
+cfg = json.loads((Path(__file__).parent / "config.example.json").read_text())
 
 spec = SweepSpec(
     variable="lambda_g",
     values=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0),
-    params=params,
-    fading=FadingParams(lambda_h=1.5, lambda_g=1.5),
-    policies=(FullCSI(), PartialCSI(), Fixed(0.4), Fixed(0.6), Fixed(0.8)),
+    params=validate(cfg),
+    fading=FadingParams(cfg["lambda_h"], cfg["lambda_g"]),
+    policies=tuple(map(parse_policy, cfg["policies"])),
     n=300_000,
     seed=7,
 )

@@ -10,32 +10,28 @@ the gap versus the fixed curves widens as power grows.
 
 Run:  python3 demos/outage_vs_power.py          (~30 s at n=200k per point)
 """
-from swipt_relay.channel import FadingParams
-from swipt_relay.params import SystemParams, dbm_to_linear
-from swipt_relay.policy import Fixed, FullCSI, PartialCSI
-from swipt_relay.sim import SweepSpec, run_sweep
+import json
+from pathlib import Path
 
-params = SystemParams(
-    p_s=dbm_to_linear(40.0),
-    sigma_r_sq=dbm_to_linear(-20.0),
-    sigma_p_sq=dbm_to_linear(-20.0),
-    sigma_d_sq=dbm_to_linear(-17.0),
-    rate=3.0,
-)
-policies = (FullCSI(), PartialCSI(), Fixed(0.4), Fixed(0.6), Fixed(0.8))
+from swipt_relay.params import FadingParams, SweepSpec, parse_policy, validate
+from swipt_relay.sim import run_sweep
+
+# the shipped operating point and policies
+cfg = json.loads((Path(__file__).parent / "config.example.json").read_text())
+names = cfg["policies"]
+policies = tuple(map(parse_policy, names))
 
 spec = SweepSpec(
     variable="p_s_dbm",
     values=tuple(float(p) for p in range(30, 52, 2)),
-    params=params,
-    fading=FadingParams(lambda_h=1.5, lambda_g=1.5),
+    params=validate(cfg),
+    fading=FadingParams(cfg["lambda_h"], cfg["lambda_g"]),
     policies=policies,
     n=200_000,
     seed=7,
 )
 rows = run_sweep(spec, workers=1)
 
-names = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6", "fixed:0.8"]
 print("outage probability (n = {:,} per point)\n".format(spec.n))
 print(f"{'P_s dBm':>8} " + " ".join(f"{n:>12}" for n in names))
 by_value = {}

@@ -7,9 +7,12 @@ side by side. The two should agree to within the grid resolution.
 
 Run:  python3 demos/policy_optima.py
 """
-from swipt_relay.channel import FadingParams, sample_channels, substream
+import json
+from pathlib import Path
+
+from swipt_relay.channel import sample_channels, substream
 from swipt_relay.link import snr
-from swipt_relay.params import SystemParams, dbm_to_linear
+from swipt_relay.params import FadingParams, validate
 from swipt_relay.policy import (
     full_csi_rho,
     oracle_grid_full,
@@ -17,15 +20,11 @@ from swipt_relay.policy import (
     partial_csi_rho,
 )
 
-params = SystemParams(
-    p_s=dbm_to_linear(40.0),
-    sigma_r_sq=dbm_to_linear(-20.0),
-    sigma_p_sq=dbm_to_linear(-20.0),
-    sigma_d_sq=dbm_to_linear(-17.0),
-    rate=3.0,
-)
+# the shipped operating point
+cfg = json.loads((Path(__file__).parent / "config.example.json").read_text())
+params = validate(cfg)
 rng = substream(2024)
-h_sqs, g_sqs = sample_channels(rng, FadingParams(lambda_h=1.5, lambda_g=1.5), 6)
+h_sqs, g_sqs = sample_channels(rng, FadingParams(cfg["lambda_h"], cfg["lambda_g"]), 6)
 
 STEP = 1e-5
 print(f"target SNR gamma_0 = {params.gamma_0:g}, grid step = {STEP:g}\n")

@@ -12,6 +12,7 @@ of sync.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import repeat
 from sys import float_info
@@ -19,7 +20,7 @@ from typing import Union
 
 __all__ = ["ConfigError", "SystemParams", "dbm_to_linear", "require_number", "validate",
            "FadingParams", "Fixed", "FullCSI", "PartialCSI", "Policy", "parse_policy",
-           "policy_name", "GAIN_BASELINE", "GAIN_POLICIES", "SweepSpec"]
+           "policy_name", "GAIN_BASELINE", "GAIN_POLICIES", "MAX_N", "SweepSpec"]
 
 
 class ConfigError(ValueError):
@@ -166,6 +167,9 @@ def policy_name(policy: Policy) -> str:
     return {named: name for name, named in _NAMED.items()}[policy]
 
 
+# Largest n: above 2^53 a float p_out no longer gives back the event count p_out*n.
+MAX_N = 2 ** 53
+
 # The gains table compares these policies, in column order, with its baseline.
 GAIN_BASELINE = "fixed:0.4"
 GAIN_POLICIES = ("full_csi", "partial_csi", "fixed:0.6", "fixed:0.8")
@@ -178,8 +182,8 @@ class SweepSpec:
     params: SystemParams
     fading: FadingParams
     policies: tuple               # Policy instances
-    n: int                        # realizations per (value, policy)
-    seed: int
+    n: int                        # realizations per (value, policy), in [1, MAX_N]
+    seed: int                     # >= 0
 
     def __post_init__(self):
         if self.variable not in ("p_s_dbm", "lambda_g", "lambda_h"):
@@ -193,6 +197,10 @@ class SweepSpec:
         twice = [p for i, p in enumerate(self.policies) if p in self.policies[:i]]
         if twice:  # its rows would repeat, and the gains table would keep only one
             raise ConfigError(f"policy {policy_name(twice[0])} is listed twice")
+        for name, low, high in (("n", 1, MAX_N), ("seed", 0, math.inf)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not low <= v <= high:
+                raise ConfigError(f"{name} must be an integer in [{low}, {high}], got {v!r}")
         self.points  # builds, and so checks, every point's params up front
 
     @property

@@ -31,7 +31,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -125,9 +124,9 @@ def _mc_batch(args):
       order there.
 
     So every count equals the unscreened test's. _slices still computes every
-    dynamic rho on every draw, for the rho sum and n_tx, and a Fixed rho0's
-    sum is cached per (rho0, size). The screen writes into _slices' rows, its
-    bound K (1 + q) over the 1 + q row once the policies have read it.
+    dynamic rho on every draw, for the rho sum and n_tx. A Fixed rho0 transmits
+    on every draw, so its sum is rho0 * size. The screen writes into _slices'
+    rows, its bound K (1 + q) over the 1 + q row once the policies have read it.
     """
     params, fading, policies, seed, key, batch_idx, size = args
     dynamic = [pol for pol in policies if not isinstance(pol, Fixed)]
@@ -154,7 +153,7 @@ def _mc_batch(args):
     stats = []
     for pol in policies:
         if isinstance(pol, Fixed):  # rho0 < 1, so every draw transmits
-            rho, rho_sum, tx = pol.rho0, _fixed_rho_sum(pol.rho0, size), size
+            rho, rho_sum, tx = pol.rho0, pol.rho0 * size, size
         else:
             row, tx = next(per_dynamic)
             rho, rho_sum = row[cand], float(np.sum(row))
@@ -175,12 +174,6 @@ def _workspace(name, count, size, dtype=float):
         ws = np.empty(np.maximum(ws.shape, (count, size)), dtype)
         setattr(_local, name, ws)
     return list(ws[:count, :size])
-
-
-@lru_cache(maxsize=16)
-def _fixed_rho_sum(rho0, size):
-    """Sum of a Fixed rho0 over a batch: the same batch-wide np.sum as a dynamic rho's."""
-    return float(np.sum(np.broadcast_to(rho0, size)))
 
 
 def _slices(params, h_sq, g_sq, policies, rows, n_tx):

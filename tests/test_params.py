@@ -5,6 +5,7 @@ import pytest
 
 from swipt_relay import verify
 from swipt_relay.params import (
+    MAX_N,
     ConfigError,
     FadingParams,
     Fixed,
@@ -180,9 +181,9 @@ class TestSweepPoints:
     PARAMS = validate(REF_CONFIG)
     FADING = FadingParams(lambda_h=1.5, lambda_g=2.5)
 
-    def spec(self, variable, values):
+    def spec(self, variable, values, n=10, seed=1):
         return SweepSpec(variable=variable, values=values, params=self.PARAMS, fading=self.FADING,
-                         policies=(Fixed(0.4),), n=10, seed=1)
+                         policies=(Fixed(0.4),), n=n, seed=seed)
 
     def by_hand(self, variable, v):
         """The point of sweep value v, built from the constructors and 10 ** (v / 10)."""
@@ -219,3 +220,21 @@ class TestSweepPoints:
     def test_a_bad_value_is_refused_when_the_spec_is_built(self, variable, values, message):
         with pytest.raises(ConfigError, match=message):
             self.spec(variable, values)
+
+    @pytest.mark.parametrize("counts,message", [
+        ({"n": 0}, "n must be an integer in [1, 9007199254740992], got 0"),
+        ({"n": 2.5}, "n must be an integer in [1, 9007199254740992], got 2.5"),
+        ({"n": True}, "n must be an integer in [1, 9007199254740992], got True"),
+        ({"n": 2**53 + 1}, "n must be an integer in [1, 9007199254740992], got 9007199254740993"),
+        ({"seed": -1}, "seed must be an integer in [0, inf], got -1"),
+        ({"seed": 1.5}, "seed must be an integer in [0, inf], got 1.5"),
+    ], ids=["n-0", "n-fraction", "n-bool", "n-above", "seed-negative", "seed-fraction"])
+    def test_a_bad_n_or_seed_is_refused_before_the_points(self, monkeypatch, counts, message):
+        monkeypatch.setattr(SweepSpec, "points", property(lambda _: pytest.fail("points built")))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            self.spec("p_s_dbm", (40.0,), **counts)
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (MAX_N, 2**64), (np.int64(1000), np.uint32(7))])
+    def test_an_integer_n_and_seed_in_range_are_accepted(self, n, seed):
+        spec = self.spec("p_s_dbm", (40.0,), n=n, seed=seed)
+        assert (spec.n, spec.seed) == (n, seed)

@@ -107,9 +107,11 @@ class TestOutageMc:
         assert est.harvest_only_fraction == pytest.approx(1 - math.exp(-1), abs=0.01)
         assert math.isfinite(est.mean_rho)
 
-    def test_fixed_policy_rho_stats(self, ref_params, ref_fading):
-        est = outage_mc(ref_params, ref_fading, Fixed(0.6), 10000, 5)
-        assert est.mean_rho == pytest.approx(0.6, rel=1e-12)
+    @pytest.mark.parametrize("rho0,n", [(0.6, 1000), (0.999999, sim.BATCH_SIZE + 12345)])
+    def test_fixed_policy_rho_stats(self, ref_params, ref_fading, rho0, n):
+        # every draw transmits at rho0, so the mean rho is rho0 up to its last division
+        est = outage_mc(ref_params, ref_fading, Fixed(rho0), n, 5)
+        assert abs(est.mean_rho - rho0) <= math.ulp(rho0)
         assert est.harvest_only_fraction == 0.0
 
     def test_crn_shares_draws_across_policies(self, ref_params, ref_fading):
@@ -162,14 +164,16 @@ class TestOutageMc:
 
 def _reference_stats(params, policies, h, g):
     """The Monte Carlo batch written plainly on given draws: every draw, no
-    screen, outage as snr() < gamma_0."""
+    screen, outage as snr() < gamma_0. A Fixed rho's sum is math.fsum's exactly
+    rounded one, which is the one rounding of rho0 * size."""
     stats = []
     for pol in policies:
         rho = decide_rho(pol, params, h, g)
         transmitting = rho < 1.0
+        rho_tx = np.where(transmitting, rho, 0.0)
         stats.append((
             int(np.count_nonzero(snr(params, h, g, rho) < params.gamma_0)),
-            float(np.sum(np.where(transmitting, rho, 0.0))),
+            math.fsum(rho_tx) if isinstance(pol, Fixed) else float(np.sum(rho_tx)),
             int(np.count_nonzero(transmitting)),
         ))
     return stats
@@ -413,9 +417,9 @@ class TestSampleCount:
             outage_semi_analytic(ref_params, ref_fading, Fixed(0.5), n_h=0, seed=1)
 
     def test_run_sweep(self, ref_params, ref_fading):
-        spec = SweepSpec(variable="p_s_dbm", values=(40.0,), params=ref_params,
-                         fading=ref_fading, policies=(Fixed(0.5),), n=0, seed=1)
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="n must be"):
+            spec = SweepSpec(variable="p_s_dbm", values=(40.0,), params=ref_params,
+                             fading=ref_fading, policies=(Fixed(0.5),), n=0, seed=1)
             run_sweep(spec)
 
 
