@@ -50,11 +50,11 @@ def _fmt(x) -> str:
 
 def _load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259), whatever the locale
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -249,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out_help):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", help="output CSV path (overrides config)")
+        p.add_argument("--out", help=out_help)
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (overrides config; default {DEFAULT_SEED})")
         p.add_argument("--n", type=int, default=None,
@@ -260,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="threads in this process, >= 1; results do not depend on this")
 
     p_point = sub.add_parser("point", help="outage at one operating point per policy")
-    common(p_point)
+    common(p_point, "estimates CSV path, required: point reads only --out, no config key")
     p_point.set_defaults(func=cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="outage sweep over P_s or a fading mean")
-    common(p_sweep)
+    common(p_sweep, "estimates CSV path (replaces config out, not gains_out)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gains = sub.add_parser("gains", help=f"log-ratio gains vs the {GAIN_BASELINE} baseline")
-    common(p_gains)
+    common(p_gains, "gains CSV path (replaces config gains_out)")
     p_gains.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run closed-form vs oracle batteries")

@@ -2,7 +2,7 @@
 
 Three policies, whose types live in params, map a channel realization to rho:
 
-* Fixed(rho0): ignores the channel.
+* Fixed(rho0): ignores the channel; its rho is the number rho0.
 * FullCSI: knows |h|^2 and |g|^2, picks the rho maximizing the instantaneous
   SNR (closed form, root of a quadratic).
 * PartialCSI: knows |h|^2 and only the mean of |g|^2, picks the rho minimizing
@@ -10,7 +10,7 @@ Three policies, whose types live in params, map a channel realization to rho:
   harvests. The maximizer does not depend on lambda_g, so lambda_g never
   appears in the decision.
 
-Every rule returns rho, a scalar or an array shaped like the channel;
+Every dynamic rule returns rho, a scalar or an array shaped like the channel;
 rho = 1 means a harvest-only block.
 
 The oracle_grid_* functions are the independent verification route for the
@@ -77,12 +77,11 @@ def partial_csi_rho(params, h_sq, *, terms=None, out=None, scratch=None):
 
 
 def decide_rho(policy: Policy, params, h_sq, g_sq, *, terms=None, out=None, scratch=None):
-    """Per-realization rho for any policy; broadcasts over channel arrays.
-    terms, out and scratch, if given, are passed on to the rule, as in link."""
+    """Per-realization rho for any policy; broadcasts over channel arrays. A Fixed
+    policy's rho is the number rho0, which the caller broadcasts. terms, out and
+    scratch, if given, are passed on to a dynamic rule, as in link."""
     if isinstance(policy, Fixed):
-        rho = np.empty(np.shape(h_sq)) if out is None else out
-        rho.fill(policy.rho0)
-        return rho
+        return policy.rho0
     if isinstance(policy, FullCSI):
         return full_csi_rho(params, h_sq, g_sq, terms=terms, out=out, scratch=scratch)
     if isinstance(policy, PartialCSI):

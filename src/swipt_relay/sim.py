@@ -14,16 +14,16 @@ sharpens gain and dominance comparisons.
 Both kernels draw each batch in full and then evaluate it in one slice loop
 (_slices), in slices of CHUNK draws on every thread. Slicing does not change
 results: the per-draw math is elementwise IEEE arithmetic, and every sum runs
-over the full batch. In the Monte Carlo kernel a conservative screen picks,
-per slice, the draws that get the exact outage test, snr() < gamma_0, which
-runs once on the batch's picks; every other draw is provably not in outage
-under any policy, so no count depends on the screen (see _mc_batch). The
-semi-analytic kernel writes each draw's g-averaged outage per slice. The
-batch-sized arrays (the gains, each dynamic rho and the semi-analytic outage)
-and the slice-sized scratch are rows of a workspace that each thread keeps
-and reuses. Every per-slice array operation, in the closed forms of link and
-policy as in the screen, writes into those rows with out=, so a warm batch of
-either kernel allocates nothing slice-sized; no result depends on it.
+over the full batch. In the Monte Carlo kernel a conservative screen picks, per
+slice, the draws that get the exact outage test, snr() < gamma_0, which runs
+once on the batch's picks; every other draw is provably not in outage under any
+policy, so no count depends on the screen (see _mc_batch). The semi-analytic
+kernel writes each draw's g-averaged outage per slice. The batch-sized arrays
+(the gains, each dynamic rho and the semi-analytic outage; a Fixed rho0 stays a
+number) and the slice-sized scratch are rows of a workspace that each thread
+keeps and reuses. Every per-slice array operation, in the closed forms of link
+and policy as in the screen, writes into those rows with out=, so a warm batch
+of either kernel allocates nothing slice-sized; no result depends on it.
 """
 from __future__ import annotations
 
@@ -177,14 +177,14 @@ def _workspace(name, count, size, dtype=float):
 
 
 def _slices(params, h_sq, g_sq, policies, rows, n_tx):
-    """The slice loop of both kernels. Per slice s of CHUNK draws, writes
-    policy j's rho over s into rows[j], zeroed where the relay only harvests
-    (so a row's np.sum is the rho sum), adds the slice's transmitting draws to
-    n_tx[j], and yields (s, (a, q, 1 + q, f), (mask, kept)): rows of this
-    thread's slice scratch, which _slices owns, cut to len(s). a, q and 1 + q
-    are the margin terms of h_sq[s]; the caller may overwrite any row until the
-    next slice. g_sq is None when no policy reads |g|^2. Every array operation
-    writes into these rows, so none allocates."""
+    """The slice loop of both kernels, for their dynamic policies (a Fixed rho0
+    is a number). Per slice s of CHUNK draws, writes policy j's rho over s into
+    rows[j], zeroed where the relay only harvests (so a row's np.sum is the rho
+    sum), adds the slice's transmitting draws to n_tx[j], and yields
+    (s, (a, q, 1 + q, f), (mask, kept)): rows of this thread's slice scratch,
+    which _slices owns, cut to len(s). a, q and 1 + q are the margin terms of
+    h_sq[s]; the caller may overwrite any row until the next slice. g_sq is None
+    when no policy reads |g|^2. Every array operation writes into these rows."""
     floats, bools = _workspace("slice", 4, CHUNK), _workspace("mask", 2, CHUNK, bool)
     for lo in range(0, len(h_sq), CHUNK):
         s = slice(lo, lo + CHUNK)
@@ -201,19 +201,20 @@ def _slices(params, h_sq, g_sq, policies, rows, n_tx):
 
 
 def _sa_batch(args):
-    """One batch of h-only draws for one policy, each draw's outage p averaged
-    over g in closed form: [(sum p, sum p^2, rho_sum, n_tx)], _mc_batch's
-    layout. A harvest-only draw's zeroed rho is infeasible, so its p is 1, as
-    at rho = 1. h, rho and p are workspace rows; every sum is batch-wide."""
+    """One batch of h-only draws for one policy, each draw's outage p averaged over
+    g in closed form: [(sum p, sum p^2, rho_sum, n_tx)], _mc_batch's layout and
+    rule (a Fixed rho0 is a number; its sum is rho0 * size). A harvest-only draw's
+    zeroed rho is infeasible, so its p is 1, as at rho = 1; every sum is batch-wide."""
     params, fading, (policy,), seed, key, batch_idx, size = args
-    h_sq, rho, p = _workspace("batch", 3, size)
+    dynamic = [] if isinstance(policy, Fixed) else [policy]
+    h_sq, p, *rows = _workspace("batch", 2 + len(dynamic), size)
     sample_gains(substream(seed, *key, batch_idx), fading.lambda_h, size, out=h_sq)
     n_tx = [0]
-    for s, (*terms, f), (mask, _) in _slices(params, h_sq, None, [policy], [rho], n_tx):
-        conditional_outage(params, h_sq[s], rho[s], fading.lambda_g, terms=terms, out=p[s],
-                           scratch=(f, mask))
-    p_sum = float(np.sum(p))
-    return [(p_sum, float(np.sum(np.square(p, out=p))), float(np.sum(rho)), n_tx[0])]
+    for s, (*terms, f), (mask, _) in _slices(params, h_sq, None, dynamic, rows, n_tx):
+        conditional_outage(params, h_sq[s], rows[0][s] if dynamic else policy.rho0,
+                           fading.lambda_g, terms=terms, out=p[s], scratch=(f, mask))
+    rho_sum, tx = (float(np.sum(rows[0])), n_tx[0]) if dynamic else (policy.rho0 * size, size)
+    return [(float(np.sum(p)), float(np.sum(np.square(p, out=p))), rho_sum, tx)]
 
 
 def _map_batches(fn, points, n, seed, workers):
@@ -315,7 +316,7 @@ def outage_exact(params, fading, policy):
     below h_c = h_threshold(params, rho0), or H0 for a dynamic policy, outage is certain.
     Broadcasts over points (operating_points): each point's edges are capped at 40 lambda_h,
     so its panels past its own have zero width and add 0; only its sum's order moves. It
-    holds about 20 KiB per point at once (20-55 dBm), so pass a few thousand points per call."""
+    holds 20 KiB a point at once (16 for Fixed, 20-55 dBm), so pass a few thousand per call."""
     from numpy.polynomial.legendre import leggauss  # 3 ms to import: not at start-up
     if isinstance(policy, FullCSI):  # it fails on exactly the draws PartialCSI fails on
         policy = PartialCSI()

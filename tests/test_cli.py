@@ -97,6 +97,7 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     ("sweep", {"sweep": LAMBDA_G_SWEEP, "gains_out": "config.json"}),
     ("point", {"epsillon": 0.5}),
     ("sweep", {"sweep": dict(LAMBDA_G_SWEEP, value=[3.0])}),
+    ("point", json.dumps(dict(BASE_CONFIG, out="OUT")).encode().replace(b"OUT", b"\xff.csv")),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -109,7 +110,7 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     "n-not-int", "rate-overflows-gamma_0", "rate-gives-gamma_0-zero",
     "lambda_h-integer-beyond-float", "policies-duplicate", "out-flag-is-config",
     "gains-out-flag-is-config-spelled-differently", "gains_out-is-config", "key-unknown",
-    "sweep-key-unknown",
+    "sweep-key-unknown", "config-not-utf-8",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing; a
@@ -121,9 +122,9 @@ def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, o
 
     monkeypatch.setattr(sim, "outage_point", no_compute)
     monkeypatch.setattr(cli, "run_sweep", no_compute)
-    if isinstance(overrides, str):  # the config file's whole text
+    if isinstance(overrides, (str, bytes)):  # the config file's whole content
         cfg, flags = tmp_path / "config.json", []
-        cfg.write_text(overrides)
+        cfg.write_bytes(overrides.encode() if isinstance(overrides, str) else overrides)
     else:
         overrides = dict(overrides)
         flags = overrides.pop("argv", [])
@@ -131,10 +132,18 @@ def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, o
             if overrides.get(key):
                 overrides[key] = str(tmp_path / overrides[key])
         cfg = write_config(tmp_path, overrides)
-    out, text = tmp_path / "out.csv", cfg.read_text()
+    out, content = tmp_path / "out.csv", cfg.read_bytes()
     assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == EXIT_CONFIG
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
-    assert cfg.read_text() == text
+    assert cfg.read_bytes() == content
+
+
+def test_a_config_that_is_not_utf8_is_named(tmp_path, capsys):
+    # JSON is UTF-8 whatever the locale (the config-not-utf-8 case above); the error names the file
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(json.dumps(dict(BASE_CONFIG, out="OUT")).encode().replace(b"OUT", b"\xff"))
+    assert main(["point", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: config {cfg} is not valid JSON: ")
 
 
 def test_a_failed_csv_write_leaves_the_target_and_no_temporary(tmp_path):

@@ -247,7 +247,10 @@ class TestPartialCsiClosedForm:
 class TestFixedPolicy:
     @pytest.mark.parametrize("rho0", [0.4, 0.6, 0.8])
     def test_returns_rho0(self, ref_params, rho0):
-        assert decide_rho(Fixed(rho0), ref_params, 1.5, 1.5) == rho0
+        # the float itself, which the caller broadcasts: no array is filled with it
+        policy = Fixed(rho0)
+        rho = decide_rho(policy, ref_params, np.full(3, 1.5), np.full(3, 1.5))
+        assert type(rho) is float and rho is policy.rho0
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_rho0_strictly_interior(self, bad):
@@ -336,7 +339,7 @@ class TestDecideRho:
         for got, expected in zip(terms, margin_terms(params, h)):
             assert got.tobytes() == np.asarray(expected).tobytes()
         rules = [(full_csi_rho, (params, h, g)), (partial_csi_rho, (params, h))]
-        rules += [(decide_rho, (pol, params, h, g)) for pol in (FullCSI(), PartialCSI(), Fixed(0.5))]
+        rules += [(decide_rho, (pol, params, h, g)) for pol in (FullCSI(), PartialCSI())]
         for fn, args in rules:
             assert_writes_out(fn, *args, scratch=scratch)
             assert_writes_out(fn, *args, terms=terms, scratch=scratch)

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import package_env
 from swipt_relay import sim
@@ -168,7 +168,7 @@ def _reference_stats(params, policies, h, g):
     rounded one, which is the one rounding of rho0 * size."""
     stats = []
     for pol in policies:
-        rho = decide_rho(pol, params, h, g)
+        rho = np.broadcast_to(decide_rho(pol, params, h, g), np.shape(h))
         transmitting = rho < 1.0
         rho_tx = np.where(transmitting, rho, 0.0)
         stats.append((
@@ -424,13 +424,16 @@ class TestSampleCount:
 
 
 def _reference_sa_batch(params, fading, policy, seed, key, batch_idx, size):
-    """The semi-analytic batch written plainly, on fresh full-batch arrays."""
+    """The semi-analytic batch written plainly, on fresh full-batch arrays. A
+    Fixed rho's sum is math.fsum's, as in _reference_stats."""
     h_sq = sample_gains(substream(seed, *key, batch_idx), fading.lambda_h, size)
-    rho = decide_rho(policy, params, h_sq, None)
+    rho = np.broadcast_to(decide_rho(policy, params, h_sq, None), h_sq.shape)
     p = conditional_outage(params, h_sq, rho, fading.lambda_g)
     transmitting = rho < 1.0
+    rho_tx = np.where(transmitting, rho, 0.0)
     return (float(p.sum()), float(np.square(p).sum()),
-            float(np.sum(np.where(transmitting, rho, 0.0))), int(np.count_nonzero(transmitting)))
+            math.fsum(rho_tx) if isinstance(policy, Fixed) else float(np.sum(rho_tx)),
+            int(np.count_nonzero(transmitting)))
 
 
 def _reference_semi_analytic(params, fading, policy, n_h, seed):
@@ -472,6 +475,13 @@ class TestSemiAnalytic:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**10
+
+    @pytest.mark.parametrize("rho0,n_h", [(0.6, 1000), (0.999999, sim.BATCH_SIZE + 12345)])
+    def test_fixed_policy_mean_rho_is_rho0(self, ref_params, ref_fading, rho0, n_h):
+        # every draw transmits at rho0, so the mean rho is rho0 up to its last division
+        est = outage_semi_analytic(ref_params, ref_fading, Fixed(rho0), n_h, 5)
+        assert abs(est.mean_rho - rho0) <= math.ulp(rho0)
+        assert est.harvest_only_fraction == 0.0
 
     def test_rejects_full_csi(self, ref_params, ref_fading):
         with pytest.raises(ValueError):
@@ -611,6 +621,30 @@ class TestOutageExact:
     def test_takes_params_fading_policy_and_returns_a_float(self, ref_params, ref_fading):
         assert list(inspect.signature(outage_exact).parameters) == ["params", "fading", "policy"]
         assert type(outage_exact(ref_params, ref_fading, Fixed(0.5))) is float
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(p_s_dbm=st.floats(20.0, 40.0), noise_dbm=st.tuples(*[st.floats(-30.0, -10.0)] * 3),
+           epsilon=st.floats(0.1, 1.0), lambda_h=st.floats(0.5, 5.0), lambda_g=st.floats(0.5, 5.0),
+           policy=st.one_of(st.sampled_from([FullCSI(), PartialCSI()]),
+                            st.floats(0.05, 0.95).map(Fixed)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_monte_carlo_lies_within_4_sigma(self, p_s_dbm, noise_dbm, epsilon, lambda_h,
+                                             lambda_g, policy, seed):
+        """Monte Carlo outage against the exact route anywhere in the drawn ranges, at
+        rate 3. n = ceil(20/p) draws expect at least 20 outage events, the z-test's
+        validity rule, so the binomial count is near normal and 4 sigma is a z bound;
+        a draw needing more than 2^21 draws is skipped, the one assumption. The ranges
+        are set by run time, not by agreement: 40 examples take about 0.3 s on 2 cores.
+        4 sigma is about 0.9 p at these n, so only a gross disagreement fails."""
+        sr, sp, sd = (dbm_to_linear(x) for x in noise_dbm)
+        params = SystemParams(p_s=dbm_to_linear(p_s_dbm), sigma_r_sq=sr, sigma_p_sq=sp,
+                              sigma_d_sq=sd, rate=3.0, epsilon=epsilon)
+        fading = FadingParams(lambda_h, lambda_g)
+        p = outage_exact(params, fading, policy)
+        n = math.ceil(20.0 / p)
+        assume(n <= 2**21)
+        mc = outage_mc(params, fading, policy, n, seed)
+        assert abs(mc.p_out - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), (mc, p)
 
 
 class TestGainEta:
