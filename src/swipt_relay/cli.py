@@ -54,7 +54,7 @@ def _load_config(path):
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, an int of 4,301+ digits
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -280,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read as numpy loads; no code calls BLAS
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from itertools import repeat
 from sys import float_info
 from typing import Union
 
@@ -31,9 +30,9 @@ _DBM_RANGE = "dBm value out of range [-3000, 3000]: {!r}"
 
 
 def dbm_to_linear(x_dbm):
-    """Convert dBm to linear milliwatts: 10^(x/10), for |x| <= 3000 dBm only. A float
-    gives a float and an array an array of its shape, each value through the C pow
-    as 10.0 ** (x / 10.0) takes it (np.power misses that last bit on 1 value in 20)."""
+    """Convert dBm to linear milliwatts: 10^(x/10), for |x| <= 3000 dBm only. A float gives a
+    float, an array an array of its shape by np.float_power: the C pow per value, as 10.0 **
+    (x / 10.0) calls it, without the GIL (np.power misses the last bit on about 5.3 %)."""
     if isinstance(x_dbm, (int, float)):
         if not abs(x_dbm) <= 3000.0:  # NaN too
             raise ConfigError(_DBM_RANGE.format(float(x_dbm)))
@@ -43,8 +42,8 @@ def dbm_to_linear(x_dbm):
     outside = ~(np.abs(x) <= 3000.0)  # NaN too
     if outside.any():
         raise ConfigError(_DBM_RANGE.format(float(x[outside][0])))
-    linear = np.fromiter(map(math.pow, repeat(10.0), (x / 10.0).ravel().tolist()), float, x.size)
-    return linear.reshape(x.shape) if x.ndim else float(linear[0])
+    linear = np.float_power(10.0, x / 10.0)
+    return linear if x.ndim else float(linear)
 
 
 @dataclass(frozen=True)

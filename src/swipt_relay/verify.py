@@ -13,7 +13,8 @@ of the instances' parameters built straight from the uniforms. The oracles
 bisect the grid for the argmin of snr()'s denominator over its numerator and
 the argmax of sd^2 W, both unimodal in rho, ties going to the smaller rho.
 run_all runs the four batteries at once on sim's thread pool; each draws
-from its own substream, so no result depends on the scheduling.
+from its own substream, so no result depends on the scheduling. The longest,
+the estimator cross-check, starts first: started last it runs alone on one core.
 """
 from __future__ import annotations
 
@@ -74,8 +75,8 @@ def _view(u):
     """The instances drawn as rows of five standard uniforms (draw order above) as one
     record array with the fields of sim.POINT_FIELDS: view.p_s holds every P_s, and so
     on, so link and policy functions broadcast over it unchanged. The four dBm columns take one
-    dbm_to_linear call, which keeps the scalar conversion's bits, sigma_d_eff
-    is the division SystemParams does, and gamma_0 is read from SystemParams."""
+    dbm_to_linear call (np.float_power: the scalar conversion's C pow per value, without the
+    GIL); sigma_d_eff is the division SystemParams does, and gamma_0 is read from SystemParams."""
     scaled = _scale(u, _PARAM_LO, _PARAM_HI)
     linear, eps = dbm_to_linear(scaled[:, :4]).T, scaled[:, 4]
     gamma_0 = np.full_like(eps, SystemParams(1.0, 1.0, 1.0, 1.0, rate=DEFAULT_RATE).gamma_0)
@@ -191,9 +192,10 @@ def battery_estimator_cross_check(n=200_000, seed=2027) -> BatteryResult:
 
 
 def run_all(quick=False):
-    """Run every battery, on one thread each up to the core count: the results in
-    battery order, each carrying its wall time, which threads sharing a core
-    lengthen; `quick` shrinks instance counts, not coverage."""
+    """Run every battery, on one thread each up to the core count, the estimator
+    cross-check first: it is the longest, and two cores gain nothing once it starts
+    last. The results come in battery order, each carrying its wall time, which
+    threads sharing a core lengthen; `quick` shrinks instance counts, not coverage."""
     scale = 10 if quick else 1
     runs = [
         (battery_full_csi, {"count": 10_000 // scale}),
@@ -207,4 +209,4 @@ def run_all(quick=False):
         t0 = time.perf_counter()
         result = battery(**kwargs)
         return replace(result, seconds=time.perf_counter() - t0)
-    return thread_map(timed, runs, len(runs))
+    return thread_map(timed, runs[::-1], len(runs))[::-1]

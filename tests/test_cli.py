@@ -98,6 +98,7 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     ("point", {"epsillon": 0.5}),
     ("sweep", {"sweep": dict(LAMBDA_G_SWEEP, value=[3.0])}),
     ("point", json.dumps(dict(BASE_CONFIG, out="OUT")).encode().replace(b"OUT", b"\xff.csv")),
+    ("sweep", json.dumps(BASE_CONFIG).replace('"n": 20000', '"n": ' + "9" * 5000)),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -110,7 +111,7 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     "n-not-int", "rate-overflows-gamma_0", "rate-gives-gamma_0-zero",
     "lambda_h-integer-beyond-float", "policies-duplicate", "out-flag-is-config",
     "gains-out-flag-is-config-spelled-differently", "gains_out-is-config", "key-unknown",
-    "sweep-key-unknown", "config-not-utf-8",
+    "sweep-key-unknown", "config-not-utf-8", "n-5000-digits",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing; a
@@ -449,6 +450,16 @@ class TestVerify:
             value, unit = ln.split(": ")[1].split()
             assert float(value) >= 0.0 and unit == "s"
         assert "time " not in captured.out
+
+    @pytest.mark.parametrize("before,after", [(None, "1"), ("3", "3")])
+    def test_openblas_gets_one_thread_unless_set(self, monkeypatch, before, after):
+        # numpy's OpenBLAS reads this as it loads, after main starts in a fresh CLI
+        if before is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", before)
+        assert main(["verify", "--quick"]) == EXIT_OK
+        assert os.environ["OPENBLAS_NUM_THREADS"] == after
 
     def test_a_battery_that_raises_exits_3(self, monkeypatch, capsys):
         # the batteries run on pool threads; the error still reaches main

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -58,6 +59,14 @@ class TestDbmArrays:
         x = np.concatenate([np.random.default_rng(25).uniform(-3000.0, 3000.0, 100_000),
                             np.arange(-3000.0, 3000.5, 0.5), [-0.0, 5e-324, -5e-324]])
         assert dbm_to_linear(x).tolist() == _literal(x.tolist())
+
+    def test_calls_no_python_function_per_value(self, monkeypatch):
+        # the 112,004 values above take one numpy call, with no math.pow per value
+        def no_pow(*args):
+            raise AssertionError("math.pow called on an array value")
+
+        monkeypatch.setattr(math, "pow", no_pow)
+        self.test_equals_the_literal_power_bit_for_bit()
 
     def test_equals_the_literal_power_on_every_battery_draw(self, monkeypatch):
         seen = []

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import package_env
 from swipt_relay import policy, verify
+from swipt_relay.cli import main
 from swipt_relay.channel import FadingParams, substream
 from swipt_relay.link import f_of_rho, h_threshold, snr, w_ratio
 from swipt_relay.params import SystemParams, dbm_to_linear
@@ -287,6 +288,23 @@ def _within(seconds, fn):
     if error is not None:
         raise error
     return result
+
+
+def test_the_cross_check_starts_first_and_results_keep_battery_order(monkeypatch, capsys):
+    # the longest battery starts first, so that a second core runs the other three beside it
+    started = []
+    for name in BATTERIES:
+        def recorded(*args, _battery=getattr(verify, name), _name=name, **kwargs):
+            started.append(_name)
+            return _battery(*args, **kwargs)
+        monkeypatch.setattr(verify, name, recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one thread: calls run in start order
+    names = ["full_csi_vs_grid", "partial_csi_vs_grid", "snr_identity", "mc_vs_semi_analytic"]
+    assert [r.name for r in verify.run_all(quick=True)] == names
+    assert started == list(BATTERIES[::-1])
+    assert main(["verify", "--quick"]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        f"[PASS] {name}" for name in names]
 
 
 def test_threaded_batteries_equal_a_serial_run(monkeypatch):
