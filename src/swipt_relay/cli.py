@@ -48,13 +48,19 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def _unique_keys(pairs):  # json.load's object_pairs_hook; json keeps a repeated key's last value
+    if len(keys := [key for key, _ in pairs]) > len(set(keys)):
+        raise ConfigError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is given twice")
+    return dict(pairs)
+
+
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259), whatever the locale
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, an int of 4,301+ digits
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, 4,301+ digits, a repeated key
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")

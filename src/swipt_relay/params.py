@@ -60,8 +60,8 @@ class SystemParams:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be a positive finite power, got {v!r}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon out of range (0, 1]: {self.epsilon!r}")
+        if not (0.0 < self.epsilon <= 1.0 and math.isfinite(self.sigma_d_eff)):
+            raise ConfigError(f"epsilon out of (0, 1] or overflows sigma_d^2/eps: {self.epsilon!r}")
         if not (self.rate < 1024.0 and self.gamma_0 > 0.0):  # 2.0 ** 1024 overflows, NaN fails
             raise ConfigError(f"rate must give 0 < gamma_0 = 2^rate - 1 < inf, got {self.rate!r}")
 

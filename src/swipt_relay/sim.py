@@ -11,19 +11,18 @@ process, and merges the results in plan order. Policies compared at the same
 operating point share the same channel draws (common random numbers), which
 sharpens gain and dominance comparisons.
 
-Both kernels draw each batch in full and then evaluate it in one slice loop
-(_slices), in slices of CHUNK draws on every thread. Slicing does not change
-results: the per-draw math is elementwise IEEE arithmetic, and every sum runs
-over the full batch. In the Monte Carlo kernel a conservative screen picks, per
-slice, the draws that get the exact outage test, snr() < gamma_0, which runs
-once on the batch's picks; every other draw is provably not in outage under any
-policy, so no count depends on the screen (see _mc_batch). The semi-analytic
-kernel writes each draw's g-averaged outage per slice. The batch-sized arrays
-(the gains, each dynamic rho and the semi-analytic outage; a Fixed rho0 stays a
-number) and the slice-sized scratch are rows of a workspace that each thread
-keeps and reuses. Every per-slice array operation, in the closed forms of link
-and policy as in the screen, writes into those rows with out=, so a warm batch
-of either kernel allocates nothing slice-sized; no result depends on it.
+Both kernels draw each batch in full and evaluate it in one slice loop, _slices,
+in slices of CHUNK draws on every thread. Slicing changes no result: the per-draw
+math is elementwise IEEE arithmetic, and every sum runs over the full batch.
+_slices owns every policy's rho (a dynamic rho is a row, a Fixed rho0 a number),
+its rho sum and its transmitting draws. In the Monte Carlo kernel a conservative
+screen picks, per slice, the draws that get the exact outage test snr() < gamma_0,
+run once on the batch's picks; no other draw is in outage under any policy (see
+_mc_batch). The semi-analytic kernel writes each draw's g-averaged outage per
+slice. The batch-sized arrays (the kernels' draws and outage, _slices' rho rows)
+and the slice scratch are rows of workspaces that each thread keeps and reuses.
+Every per-slice array operation, in link and policy as in the screen, writes into
+them with out=, so a warm batch allocates nothing slice-sized; no result depends on it.
 """
 from __future__ import annotations
 
@@ -65,7 +64,8 @@ BATCH_SIZE = 1 << 19
 # fastest both serially and on two threads.
 CHUNK = 1 << 15
 
-EXACT_NODES = 24  # Gauss-Legendre nodes per outage_exact panel; 32 moves it < 5e-13
+EXACT_NODES = 24  # Gauss-Legendre nodes per outage_exact panel. 32 move the shipped sweep's
+# points < 1e-13 relative, but up to 2e-7 (fixed:0.95) on ROADMAP item 4's 20-55 dBm domain
 # SystemParams' fields in a record of operating points (operating_points, verify._view)
 POINT_FIELDS = ("p_s", "sigma_r_sq", "sigma_p_sq", "sigma_d_sq", "epsilon", "gamma_0", "sigma_d_eff")
 
@@ -123,24 +123,21 @@ def _mc_batch(args):
       computed rather than exact optimum rho: the SNR is flat to second
       order there.
 
-    So every count equals the unscreened test's. _slices still computes every
-    dynamic rho on every draw, for the rho sum and n_tx. A Fixed rho0 transmits
-    on every draw, so its sum is rho0 * size. The screen writes into _slices'
-    rows, its bound K (1 + q) over the 1 + q row once the policies have read it.
+    So every count equals the unscreened test's; the rho sums and n_tx are _slices'
+    stats, over every draw. The screen writes into _slices' scratch rows, its
+    bound K (1 + q) over the 1 + q row once the policies have read it.
     """
     params, fading, policies, seed, key, batch_idx, size = args
-    dynamic = [pol for pol in policies if not isinstance(pol, Fixed)]
-    h_sq, g_sq, *rows = _workspace("batch", 2 + len(dynamic), size)
     h_sq, g_sq = sample_channels(substream(seed, *key, batch_idx), fading, size,
-                                 out=(h_sq, g_sq))
+                                 out=_workspace("batch", 2, size))
     k_p = params.gamma_0 * params.sigma_p_sq
     k_d = params.gamma_0 * params.sigma_d_eff
     # A* and K of the screen: a draw skips the exact test iff a >= a_min and g*a >= k_min*(1 + q).
     screen_rhos = [0.5] + [pol.rho0 for pol in policies if isinstance(pol, Fixed)]
     a_min = max(2.0 * k_p / (1.0 - r) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
     k_min = max(2.0 * k_d / (r * (1.0 - r)) for r in screen_rhos) * (1.0 + SCREEN_SLACK)
-    cand, n_tx = [], [0] * len(dynamic)
-    for s, (a, _, bound, ga), (low, kept) in _slices(params, h_sq, g_sq, dynamic, rows, n_tx):
+    cand, stats = [], []
+    for s, _, (a, _, bound, ga), (low, kept) in _slices(params, h_sq, g_sq, policies, stats):
         np.less(np.multiply(g_sq[s], a, out=ga), np.multiply(k_min, bound, out=bound), out=kept)
         idx = np.flatnonzero(np.logical_or(np.less(a, a_min, out=low), kept, out=kept))
         idx += s.start
@@ -149,16 +146,8 @@ def _mc_batch(args):
     # draw's zeroed rho gives snr = 0, so it is in outage, as at rho = 1.
     cand = np.concatenate(cand)
     h, g = h_sq[cand], g_sq[cand]
-    per_dynamic = iter(zip(rows, n_tx))
-    stats = []
-    for pol in policies:
-        if isinstance(pol, Fixed):  # rho0 < 1, so every draw transmits
-            rho, rho_sum, tx = pol.rho0, pol.rho0 * size, size
-        else:
-            row, tx = next(per_dynamic)
-            rho, rho_sum = row[cand], float(np.sum(row))
-        stats.append((int(np.count_nonzero(snr(params, h, g, rho) < params.gamma_0)), rho_sum, tx))
-    return stats
+    return [(int(np.count_nonzero(snr(params, h, g, np.broadcast_to(rho, size)[cand])
+                                  < params.gamma_0)), rho_sum, tx) for rho, rho_sum, tx in stats]
 
 
 _local = threading.local()
@@ -167,8 +156,8 @@ _local = threading.local()
 def _workspace(name, count, size, dtype=float):
     """count arrays of size elements of dtype: rows of this thread's workspace
     `name`, which grows to the largest (count, size) asked for and is then
-    reused. The batch rows and the slice scratch rows are separate workspaces,
-    so that the scratch takes CHUNK elements per row, not a batch."""
+    reused. The kernels' draws, _slices' rho rows and its slice scratch rows are
+    separate workspaces, so that the scratch takes CHUNK elements per row."""
     ws = getattr(_local, name, np.empty((0, 0), dtype))
     if ws.shape[0] < count or ws.shape[1] < size:
         ws = np.empty(np.maximum(ws.shape, (count, size)), dtype)
@@ -176,45 +165,52 @@ def _workspace(name, count, size, dtype=float):
     return list(ws[:count, :size])
 
 
-def _slices(params, h_sq, g_sq, policies, rows, n_tx):
-    """The slice loop of both kernels, for their dynamic policies (a Fixed rho0
-    is a number). Per slice s of CHUNK draws, writes policy j's rho over s into
-    rows[j], zeroed where the relay only harvests (so a row's np.sum is the rho
-    sum), adds the slice's transmitting draws to n_tx[j], and yields
-    (s, (a, q, 1 + q, f), (mask, kept)): rows of this thread's slice scratch,
-    which _slices owns, cut to len(s). a, q and 1 + q are the margin terms of
-    h_sq[s]; the caller may overwrite any row until the next slice. g_sq is None
-    when no policy reads |g|^2. Every array operation writes into these rows."""
+def _slices(params, h_sq, g_sq, policies, stats):
+    """The slice loop of both kernels, owner of every policy's rho. Per slice s of
+    CHUNK draws, writes each dynamic rho over s into a row of this thread's "rho"
+    workspace, zeroed where the relay only harvests, and yields (s, rhos, (a, q,
+    1 + q, f), (mask, kept)): per policy its rho over s, the row's view or a Fixed
+    rho0 (a number, transmitting on every draw), then this thread's slice scratch
+    rows cut to len(s), the first three the margin terms of h_sq[s], which the
+    caller may overwrite until the next slice. g_sq is None when no policy reads
+    |g|^2. Every array operation writes into these rows. After the last slice it
+    appends (rho over the batch, rho sum, transmitting draws) per policy to stats."""
+    size, fixed = len(h_sq), [isinstance(pol, Fixed) for pol in policies]
+    rows = iter(_workspace("rho", fixed.count(False), size))
+    batch = [pol.rho0 if fix else next(rows) for pol, fix in zip(policies, fixed)]
+    n_tx = [size if fix else 0 for fix in fixed]
     floats, bools = _workspace("slice", 4, CHUNK), _workspace("mask", 2, CHUNK, bool)
-    for lo in range(0, len(h_sq), CHUNK):
+    for lo in range(0, size, CHUNK):
         s = slice(lo, lo + CHUNK)
         h, g = h_sq[s], None if g_sq is None else g_sq[s]
         (*terms, f), (mask, _) = views = [[row[:len(h)] for row in ws] for ws in (floats, bools)]
         terms = margin_terms(params, h, out=terms)
+        rhos = [rho if fix else rho[s] for rho, fix in zip(batch, fixed)]
         for j, pol in enumerate(policies):
-            rho = decide_rho(pol, params, h, g, terms=terms, out=rows[j][s], scratch=(f, mask))
-            tx = int(np.count_nonzero(np.less(rho, 1.0, out=mask)))
-            n_tx[j] += tx
-            if tx < len(h):
-                np.copyto(rho, 0.0, where=np.logical_not(mask, out=mask))
-        yield (s, *views)
+            if not fixed[j]:
+                rho = decide_rho(pol, params, h, g, terms=terms, out=rhos[j], scratch=(f, mask))
+                tx = int(np.count_nonzero(np.less(rho, 1.0, out=mask)))
+                n_tx[j] += tx
+                if tx < len(h):
+                    np.copyto(rho, 0.0, where=np.logical_not(mask, out=mask))
+        yield (s, rhos, *views)
+    stats.extend((rho, rho * size if fix else float(np.sum(rho)), tx)
+                 for rho, fix, tx in zip(batch, fixed, n_tx))
 
 
 def _sa_batch(args):
     """One batch of h-only draws for one policy, each draw's outage p averaged over
-    g in closed form: [(sum p, sum p^2, rho_sum, n_tx)], _mc_batch's layout and
-    rule (a Fixed rho0 is a number; its sum is rho0 * size). A harvest-only draw's
-    zeroed rho is infeasible, so its p is 1, as at rho = 1; every sum is batch-wide."""
-    params, fading, (policy,), seed, key, batch_idx, size = args
-    dynamic = [] if isinstance(policy, Fixed) else [policy]
-    h_sq, p, *rows = _workspace("batch", 2 + len(dynamic), size)
+    g in closed form: [(sum p, sum p^2, rho_sum, n_tx)], _mc_batch's layout, with
+    the rho sum and n_tx from _slices' stats. A harvest-only draw's zeroed rho is
+    infeasible, so its p is 1, as at rho = 1; every sum is batch-wide."""
+    params, fading, policies, seed, key, batch_idx, size = args
+    h_sq, p = _workspace("batch", 2, size)
     sample_gains(substream(seed, *key, batch_idx), fading.lambda_h, size, out=h_sq)
-    n_tx = [0]
-    for s, (*terms, f), (mask, _) in _slices(params, h_sq, None, dynamic, rows, n_tx):
-        conditional_outage(params, h_sq[s], rows[0][s] if dynamic else policy.rho0,
-                           fading.lambda_g, terms=terms, out=p[s], scratch=(f, mask))
-    rho_sum, tx = (float(np.sum(rows[0])), n_tx[0]) if dynamic else (policy.rho0 * size, size)
-    return [(float(np.sum(p)), float(np.sum(np.square(p, out=p))), rho_sum, tx)]
+    stats = []
+    for s, (rho,), (*terms, f), (mask, _) in _slices(params, h_sq, None, policies, stats):
+        conditional_outage(params, h_sq[s], rho, fading.lambda_g, terms=terms, out=p[s],
+                           scratch=(f, mask))
+    return [(float(np.sum(p)), float(np.sum(np.square(p, out=p))), *stats[0][1:])]
 
 
 def _map_batches(fn, points, n, seed, workers):

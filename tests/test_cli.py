@@ -99,6 +99,10 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     ("sweep", {"sweep": dict(LAMBDA_G_SWEEP, value=[3.0])}),
     ("point", json.dumps(dict(BASE_CONFIG, out="OUT")).encode().replace(b"OUT", b"\xff.csv")),
     ("sweep", json.dumps(BASE_CONFIG).replace('"n": 20000', '"n": ' + "9" * 5000)),
+    ("point", json.dumps(BASE_CONFIG).replace('"n": 20000', '"n": 20000, "n": 2000')),
+    ("sweep", json.dumps(dict(BASE_CONFIG, sweep=LAMBDA_G_SWEEP))
+     .replace('"variable"', '"variable": "p_s_dbm", "variable"')),
+    ("point", {"epsilon": 1e-310}),
 ], ids=[
     "rate-string", "seed-negative", "n-bool", "n-fraction", "lambda_g-nan",
     "p_s_dbm-nan", "lambda_h-negative", "values-not-list", "values-bool", "gains-incomplete",
@@ -111,7 +115,8 @@ LOSSY_06 = ["full_csi", "partial_csi", "fixed:0.4", "fixed:0.6000001", "fixed:0.
     "n-not-int", "rate-overflows-gamma_0", "rate-gives-gamma_0-zero",
     "lambda_h-integer-beyond-float", "policies-duplicate", "out-flag-is-config",
     "gains-out-flag-is-config-spelled-differently", "gains_out-is-config", "key-unknown",
-    "sweep-key-unknown", "config-not-utf-8", "n-5000-digits",
+    "sweep-key-unknown", "config-not-utf-8", "n-5000-digits", "key-twice", "sweep-key-twice",
+    "epsilon-overflows-sigma_d-eff",
 ])
 def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, overrides):
     # compute is patched to fail, so even the huge n cases allocate nothing; a
@@ -137,6 +142,15 @@ def test_config_mistake_exits_1_before_compute(tmp_path, monkeypatch, command, o
     assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == EXIT_CONFIG
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
     assert cfg.read_bytes() == content
+
+
+def test_a_repeated_key_is_named(tmp_path, capsys):
+    # json itself keeps the last value of a repeated key; the config refuses it at any depth
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(BASE_CONFIG, sweep=LAMBDA_G_SWEEP))
+                   .replace('"values"', '"values": [3.0], "values"'))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith("key 'values' is given twice\n")
 
 
 def test_a_config_that_is_not_utf8_is_named(tmp_path, capsys):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import SRC, package_env
+from conftest import ROOT, SRC, package_env
 
 MODULES = ["params", "link", "policy", "sim", "channel", "verify"]
 
@@ -54,3 +54,15 @@ def test_no_module_imports_a_private_name_of_another():
                 and (node.level or (node.module or "").split(".")[0] == "swipt_relay")
                 for alias in node.names if alias.name.startswith("_")]
     assert imported == []
+
+
+def test_every_name_the_benchmark_harness_reads_exists(monkeypatch):
+    # perfbench/spans.py skips a name it cannot find, so a rename would only drop
+    # a span; the names its probes read and the workloads call must stay too
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    from swipt_relay import cli, sim, verify
+    read = [(module, attr) for module, attrs in spans._targets().items() for attr in attrs]
+    read += [(sim, "ProcessPoolExecutor"), (sim, "outage_point"), (sim, "BATCH_SIZE"),
+             (cli, "main"), (verify, "outage_mc"), (verify, "outage_semi_analytic")]
+    assert [f"{m.__name__}.{attr}" for m, attr in read if not hasattr(m, attr)] == []
